@@ -10,11 +10,10 @@ Usage:
 """
 
 import argparse
-import math
 import os
 
 from fntwist import AnnulusCoords, core_geodesic
-from fntwist.cli import format_csv, sample_flow
+from fntwist.cli import format_csv, parse_projection, render_svg, sample_flow
 
 STARTS = [
     (1.0, 1.0, 1.0, 1.0),
@@ -25,49 +24,6 @@ STARTS = [
 ]
 
 PALETTE = ["magenta", "#4466dd", "#22aa66", "#dd8822", "#884499"]
-
-WIDTH, HEIGHT, MARGIN = 800, 600, 60
-
-
-def svg_overlay(curves):
-    xs = [x for pts, _ in curves for x, _ in pts]
-    ys = [y for pts, _ in curves for _, y in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_pad = (x_hi - x_lo) * 0.05 or 0.5
-    y_pad = (y_hi - y_lo) * 0.05 or 0.5
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-    plot_w, plot_h = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
-
-    def sx(v):
-        return MARGIN + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(v):
-        return MARGIN + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<line x1="{MARGIN}" y1="{MARGIN + plot_h}" x2="{MARGIN + plot_w}" '
-        f'y2="{MARGIN + plot_h}" stroke="black"/>',
-        f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{MARGIN + plot_h}" '
-        'stroke="black"/>',
-        f'<text x="{MARGIN + plot_w / 2}" y="{HEIGHT - 20}" font-size="13" '
-        'text-anchor="middle">log10 X1</text>',
-        f'<text x="20" y="{MARGIN + plot_h / 2}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 20 {MARGIN + plot_h / 2})">log10 X2</text>',
-    ]
-    for (pts, color) in curves:
-        path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        parts.append(
-            f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        x0, y0 = pts[0]
-        parts.append(f'<circle cx="{sx(x0):.2f}" cy="{sy(y0):.2f}" r="3" fill="{color}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def main():
@@ -85,15 +41,14 @@ def main():
         csv_path = os.path.join(args.out, "flow_" + "_".join(f"{v:g}" for v in start) + ".csv")
         with open(csv_path, "w", newline="") as fp:
             fp.write(format_csv(samples))
-        pts = [(math.log10(s.x1), math.log10(s.x2)) for s in samples]
-        curves.append((pts, color))
+        curves.append((samples, color))
         trace = core_geodesic(coords).trace_abs
-        drift = max(abs(s.trace - trace) / trace for s in samples)
+        drift = max(abs(s[6] - trace) / trace for s in samples)  # s[6]: trace column
         print(f"start {start}: trace {trace:.6f}, max drift {drift:.3e}, wrote {csv_path}")
 
     svg_path = os.path.join(args.out, "flow_overlay.svg")
     with open(svg_path, "w", newline="") as fp:
-        fp.write(svg_overlay(curves))
+        fp.write(render_svg(curves, parse_projection("logX1,logX2")))
     print(f"wrote {svg_path}")
 
 

@@ -30,14 +30,12 @@ from .mobius import (
 from .sampling import Lcg, random_coords
 from .surface import AnnulusEmbedding, SurfaceCoords, apply_local_twist
 from .twist import (
-    StratumMap,
     TwistRangeError,
     dehn_twist,
     stratum_map,
     twist_closed_form,
     twist_oracle,
     twist_p_form,
-    twisted_endpoints,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "MobiusMap",
     "NonHyperbolicError",
     "ProjectivePoint",
-    "StratumMap",
     "SurfaceCoords",
     "TwistRangeError",
     "apply_local_twist",
@@ -70,5 +67,4 @@ __all__ = [
     "twist_closed_form",
     "twist_oracle",
     "twist_p_form",
-    "twisted_endpoints",
 ]

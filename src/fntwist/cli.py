@@ -19,24 +19,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .annulus import AnnulusCoords, core_geodesic, coords_from_endpoints, endpoints
 from .sampling import Lcg, random_coords
-from .twist import (
-    TwistRangeError,
-    dehn_twist,
-    twist_closed_form,
-    twist_oracle,
-    twist_p_form,
-)
+from .twist import dehn_twist, twist_closed_form, twist_oracle, twist_p_form
 
-METHODS = {
-    "closed": twist_closed_form,
-    "p-form": twist_p_form,
-    "oracle": twist_oracle,
-}
-
+# a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
 
 SVG_WIDTH = 800
@@ -52,22 +40,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; we report usage problems as 1
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One flow sample: parameter, coordinates, and the (constant) invariants."""
-
-    t: float
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-    length: float
-    trace: float
-
-    def row(self):
-        return (self.t, self.x1, self.x2, self.x3, self.x4, self.length, self.trace)
 
 
 def _fmt(v: float) -> str:
@@ -143,8 +115,8 @@ def _quadruple_report(coords, result, input_fields, fmt, out):
 
 def cmd_twist(args) -> int:
     coords = parse_coords(args.coords)
-    result = METHODS[args.method](coords, args.t)
-    fields = {"coords": list(coords.as_tuple()), "t": args.t, "method": args.method}
+    result = twist_p_form(coords, args.t)
+    fields = {"coords": list(coords.as_tuple()), "t": args.t}
     return _quadruple_report(coords, result, fields, args.format or "json", args.out)
 
 
@@ -157,26 +129,25 @@ def cmd_dehn(args) -> int:
 
 # ----------------------------------------------------------------------- flow
 
-def sample_flow(coords: AnnulusCoords, t_max: float, steps: int, method="p-form"):
-    """steps + 1 samples at uniform parameters in [0, t_max].
+def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
+    """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t in [0, t_max].
 
     Length and trace are recomputed from each sample so the emitted rows
     exhibit, rather than assume, their invariance.
     """
-    twist = METHODS[method]
     samples = []
     for i in range(steps + 1):
         t = i * t_max / steps
-        point = twist(coords, t)
+        point = twist_p_form(coords, t)
         core = core_geodesic(point)
-        samples.append(TrajectorySample(t, *point.as_tuple(), core.length, core.trace_abs))
+        samples.append((t, *point.as_tuple(), core.length, core.trace_abs))
     return samples
 
 
 def format_csv(samples) -> str:
     lines = [CSV_HEADER]
     for s in samples:
-        lines.append(",".join(_fmt(v) for v in s.row()))
+        lines.append(",".join(_fmt(v) for v in s))
     return "\n".join(lines) + "\n"
 
 
@@ -185,25 +156,18 @@ def format_flow_json(coords, t_max, steps, samples) -> str:
     payload = {
         "input": {"coords": list(coords.as_tuple()), "t_max": t_max, "steps": steps},
         "invariants": {"L": core.length, "trace": core.trace_abs},
+        # a dict literal per sample: building it with dict(zip(...)) costs more memory
         "samples": [
-            {
-                "t": s.t,
-                "X1": s.x1,
-                "X2": s.x2,
-                "X3": s.x3,
-                "X4": s.x4,
-                "L": s.length,
-                "trace": s.trace,
-            }
-            for s in samples
+            {"t": t, "X1": x1, "X2": x2, "X3": x3, "X4": x4, "L": length, "trace": trace}
+            for t, x1, x2, x3, x4, length, trace in samples
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _axis_value(sample: TrajectorySample, axis) -> float:
+def _axis_value(sample, axis) -> float:
     _, index, is_log = axis
-    v = (sample.x1, sample.x2, sample.x3, sample.x4)[index - 1]
+    v = sample[index]  # X1..X4 sit at positions 1..4 of a sample
     return math.log10(v) if is_log else v
 
 
@@ -217,12 +181,16 @@ def _scale(lo: float, hi: float):
     return lo, hi
 
 
-def render_svg(samples, proj, stroke="magenta") -> str:
-    """Polyline of the projected trajectory in a fixed 800x600 frame."""
-    xs = [_axis_value(s, proj[0]) for s in samples]
-    ys = [_axis_value(s, proj[1]) for s in samples]
-    x_lo, x_hi = _scale(min(xs), max(xs))
-    y_lo, y_hi = _scale(min(ys), max(ys))
+def render_svg(curves, proj) -> str:
+    """Polylines of projected trajectories in one fixed 800x600 frame.
+
+    curves is a list of (samples, stroke) pairs, drawn in order; the axes
+    span every curve.
+    """
+    projected = [([_axis_value(s, proj[0]) for s in samples],
+                  [_axis_value(s, proj[1]) for s in samples]) for samples, _ in curves]
+    x_lo, x_hi = _scale(min(min(xs) for xs, _ in projected), max(max(xs) for xs, _ in projected))
+    y_lo, y_hi = _scale(min(min(ys) for _, ys in projected), max(max(ys) for _, ys in projected))
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
@@ -267,18 +235,17 @@ def render_svg(samples, proj, stroke="magenta") -> str:
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.1f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.1f})">{proj[1][0]}</text>'
     )
-    points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
-    )
-    n = len(samples)
-    marks = sorted({0, n // 4, n // 2, 3 * n // 4, n - 1})
-    for i in marks:
-        px, py = sx(xs[i]), sy(ys[i])
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{stroke}"/>')
+    for (samples, stroke), (xs, ys) in zip(curves, projected):
+        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         parts.append(
-            f'<text x="{px + 5:.1f}" y="{py - 5:.1f}" font-size="10">t={samples[i].t:.3g}</text>'
+            f'<polyline points="{points}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
+        n = len(samples)
+        for i in sorted({0, n // 4, n // 2, 3 * n // 4, n - 1}):
+            px, py = sx(xs[i]), sy(ys[i])
+            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{stroke}"/>')
+            parts.append(f'<text x="{px + 5:.1f}" y="{py - 5:.1f}" font-size="10">'
+                         f't={samples[i][0]:.3g}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -290,14 +257,14 @@ def cmd_flow(args) -> int:
     if not (math.isfinite(args.t) and args.t > 0.0):
         raise UsageError(f"--t must be positive and finite for flow sampling, got {args.t}")
     proj = parse_projection(args.proj)
-    samples = sample_flow(coords, args.t, args.steps, args.method)
+    samples = sample_flow(coords, args.t, args.steps)
     fmt = args.format or "csv"
     if fmt == "csv":
         _write_text(format_csv(samples), args.out)
     else:
         _write_text(format_flow_json(coords, args.t, args.steps, samples), args.out)
     if args.svg is not None:
-        _write_text(render_svg(samples, proj), args.svg)
+        _write_text(render_svg([(samples, "magenta")], proj), args.svg)
     return 0
 
 
@@ -390,10 +357,8 @@ def build_parser() -> _Parser:
         p.add_argument("--coords", required=True, help="four comma-separated positive values")
         if with_t:
             p.add_argument("--t", type=float, default=1.0, help="twist parameter in core lengths")
-        p.add_argument("--method", choices=sorted(METHODS), default="p-form")
         p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p_twist = sub.add_parser("twist", help="evaluate one twist")
     add_common(p_twist)
@@ -429,7 +394,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TwistRangeError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

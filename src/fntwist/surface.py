@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .annulus import AnnulusCoords
-from .twist import twist_closed_form
+from .twist import twist_p_form
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
         if i > n:
             raise ValueError(f"embedding index {i} exceeds coordinate count {n}")
     quad = AnnulusCoords(*(coords.values[i - 1] for i in embedding.as_tuple()))
-    twisted = twist_closed_form(quad, t)
+    twisted = twist_p_form(quad, t)
     out = list(coords.values)
     for i, v in zip(embedding.as_tuple(), twisted.as_tuple()):
         out[i - 1] = v

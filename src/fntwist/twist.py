@@ -2,10 +2,10 @@
 
 Three independent routes compute the twisted quadruple:
 
-* twist_p_form, the canonical implementation, a rational function of
-  e^(t L) and the axis endpoints p1, p2 taken from the quadratic route;
+* twist_p_form, the one route production code calls, a rational function
+  of e^(t L) and the axis endpoints p1, p2 taken from the quadratic route;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
-  and e^(+/- L/2), kept as an algebraic cross-check;
+  and e^(+/- L/2), kept as an algebraic reference;
 * twist_oracle, a first-principles construction that builds the endpoint
   configuration, applies the stratum map to the vertices it moves, and
   recomputes the four cross ratios.
@@ -18,7 +18,6 @@ positive t twists boundary points toward the negative axis endpoint p2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .annulus import AnnulusCoords, core_geodesic, endpoints
 from .mobius import INFINITY, MobiusMap, ProjectivePoint, cross_ratio
@@ -41,46 +40,20 @@ def _check_t(t) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class StratumMap:
-    """The hyperbolic map applied to the moving side of the cut, with its data.
+def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
+    """The hyperbolic map applied to the moving side of the cut.
 
-    transform has axis endpoints exactly (p1, p2) and translation length
-    |twist_length|; at twist_length = 0 it is the identity.
+    Conjugates diag(e^(tL/2), e^(-tL/2)) back from the axis-normalizing
+    frame, so its axis endpoints are exactly (p1, p2) and its translation
+    length is |t| L; at t = 0 it is the identity.
     """
-
-    transform: MobiusMap
-    p1: float
-    p2: float
-    twist_length: float
-
-
-def stratum_map(coords: AnnulusCoords, t) -> StratumMap:
-    """Conjugate diag(e^(tL/2), e^(-tL/2)) back from the axis-normalizing frame."""
     t = _check_t(t)
     core = core_geodesic(coords)
     s = t * core.length
     # normalizer sends p1 to 0 and p2 to infinity; constructor supplies 1/sqrt(p1-p2)
     frame = MobiusMap(1.0, -core.p1, 1.0, -core.p2)
     diagonal = MobiusMap(math.exp(s / 2.0), 0.0, 0.0, math.exp(-s / 2.0))
-    transform = frame.inverse().compose(diagonal).compose(frame)
-    return StratumMap(transform=transform, p1=core.p1, p2=core.p2, twist_length=s)
-
-
-def twisted_endpoints(coords: AnnulusCoords, t):
-    """Images of the moving vertices (0, x1, x3) under the stratum map.
-
-    The remaining vertices 1, x4, infinity, x2 lie on the fixed side of the
-    cut and do not move.
-    """
-    t = _check_t(t)
-    ends = endpoints(coords)
-    m = stratum_map(coords, t).transform
-    return (
-        m.apply(ProjectivePoint(0.0)),
-        m.apply(ProjectivePoint(ends.x1)),
-        m.apply(ProjectivePoint(ends.x3)),
-    )
+    return frame.inverse().compose(diagonal).compose(frame)
 
 
 def _guard_outputs(values) -> AnnulusCoords:
@@ -166,7 +139,7 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     """
     t = _check_t(t)
     ends = endpoints(coords)
-    m = stratum_map(coords, t).transform
+    m = stratum_map(coords, t)
     one = ProjectivePoint(1.0)
     moved_zero = m.apply(ProjectivePoint(0.0))
     moved_x1 = m.apply(ProjectivePoint(ends.x1))

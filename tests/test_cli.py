@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +16,12 @@ def run(argv):
 
 class TestTwistCommand:
     def test_dehn_values_json(self, capsys):
-        assert run(["twist", "--coords", "1,1,1,1", "--t", "1", "--method", "closed"]) == 0
+        assert run(["twist", "--coords", "1,1,1,1", "--t", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["output"] == pytest.approx([0.25, 1.0, 2.0, 2.0], rel=1e-12)
         assert payload["L"] == pytest.approx(1.9248473002, abs=1e-9)
         assert payload["trace"] == pytest.approx(3.0)
-        assert payload["input"]["method"] == "closed"
+        assert payload["input"] == {"coords": [1.0, 1.0, 1.0, 1.0], "t": 1.0}
 
     def test_zero_twist(self, capsys):
         assert run(["twist", "--coords", "1,1,1,1", "--t", "0"]) == 0
@@ -27,20 +29,13 @@ class TestTwistCommand:
         assert payload["output"] == pytest.approx([1.0, 1.0, 1.0, 1.0], rel=1e-12)
 
     def test_csv_format(self, capsys):
-        assert run(["twist", "--coords", "1,1,1,1", "--t", "1", "--format", "csv",
-                    "--method", "closed"]) == 0
+        assert run(["twist", "--coords", "1,1,1,1", "--t", "1", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0] == "X1,X2,X3,X4,L,trace"
         values = [float(v) for v in lines[1].split(",")]
         assert values[:4] == pytest.approx([0.25, 1.0, 2.0, 2.0], rel=1e-12)
         assert out.endswith("\n")
-
-    @pytest.mark.parametrize("method", ["closed", "p-form", "oracle"])
-    def test_all_methods_agree(self, method, capsys):
-        assert run(["twist", "--coords", "2,3,0.5,4", "--t", "0.7", "--method", method]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert all(v > 0 for v in payload["output"])
 
     def test_invalid_coords_exit_one(self, capsys):
         assert run(["twist", "--coords", "1,-1,1,1"]) == 1
@@ -51,8 +46,12 @@ class TestTwistCommand:
         assert run(["twist", "--coords", "1,2,3"]) == 1
         assert "four" in capsys.readouterr().err
 
-    def test_unknown_method_exit_one(self):
-        assert run(["twist", "--coords", "1,1,1,1", "--method", "magic"]) == 1
+    def test_unknown_method_exit_one(self, capsys):
+        # p-form is the only production route; --method and the ignored --seed are gone
+        assert run(["twist", "--coords", "1,1,1,1", "--method", "closed"]) == 1
+        assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10",
+                    "--seed", "0"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDehnCommand:
@@ -65,6 +64,13 @@ class TestDehnCommand:
         assert run(["dehn", "--coords", "0.25,1,2,2", "--m", "-1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["output"] == pytest.approx([1.0, 1.0, 1.0, 1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("m", [200, -170])
+    def test_arithmetic_failure_exit_one(self, m, capsys):
+        # m = 200 underflows X1 to zero, m = -170 overflows (1 + X2)^2
+        assert run(["dehn", "--coords", "1.3,0.7,2,0.5", "--m", str(m)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestFlowCommand:
@@ -90,7 +96,7 @@ class TestFlowCommand:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10", "--seed", "0"]
+        args = ["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10"]
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -102,6 +108,18 @@ class TestFlowCommand:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_readme_example_matches_golden_digests(self, tmp_path):
+        golden = Path(__file__).resolve().parents[1] / "benchmarks" / "golden_sha256.json"
+        recorded = json.loads(golden.read_text())
+        args = ["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "100",
+                "--proj", "logX1,logX2"]
+        assert run(args + ["--out", str(tmp_path / "flow.csv"),
+                           "--svg", str(tmp_path / "flow.svg")]) == 0
+        assert run(args + ["--format", "json", "--out", str(tmp_path / "flow.json")]) == 0
+        for name in ("flow.csv", "flow.json", "flow.svg"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == recorded[name], name
 
     def test_json_schema(self, tmp_path):
         out = tmp_path / "flow.json"
@@ -166,9 +184,17 @@ class TestProjectionParsing:
     def test_render_handles_constant_axis(self):
         # X2 stays at 1 along this flow; the log projection must not divide by zero
         samples = sample_flow(AnnulusCoords(1, 1, 1, 1), 1.0, 10)
-        text = render_svg(samples, parse_projection("logX1,logX2"))
+        text = render_svg([(samples, "magenta")], parse_projection("logX1,logX2"))
         assert "polyline" in text
         assert "NaN" not in text and "inf" not in text
+
+    def test_render_overlays_curves_in_one_frame(self):
+        curves = [(sample_flow(AnnulusCoords(*start), 1.0, 10), stroke)
+                  for start, stroke in (((1, 1, 1, 1), "magenta"), ((4, 0.25, 1, 1), "teal"))]
+        text = render_svg(curves, parse_projection("logX1,logX2"))
+        assert text.count("<polyline") == 2
+        assert text.index('stroke="magenta"') < text.index('stroke="teal"')
+        assert text.count("<svg") == 1 and text.count('fill="white"') == 1
 
 
 class TestVerifyCommand:

@@ -7,7 +7,7 @@ from fntwist import (
     AnnulusEmbedding,
     SurfaceCoords,
     apply_local_twist,
-    twist_closed_form,
+    twist_p_form,
 )
 from util import max_rel
 
@@ -65,7 +65,7 @@ class TestApplyLocalTwist:
         vec = SurfaceCoords((0.5, 4.0, 9.9, 0.2, 2.0, 3.0, 7.0))
         out = apply_local_twist(vec, emb, 1.25)
         quad = AnnulusCoords(*(vec.values[i - 1] for i in emb.as_tuple()))
-        expected = twist_closed_form(quad, 1.25)
+        expected = twist_p_form(quad, 1.25)
         for i, v in zip(emb.as_tuple(), expected.as_tuple()):
             assert out.values[i - 1] == v
 

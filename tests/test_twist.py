@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fntwist import (
     AnnulusCoords,
     MobiusMap,
+    ProjectivePoint,
     TwistRangeError,
     core_geodesic,
     dehn_twist,
@@ -16,7 +17,6 @@ from fntwist import (
     twist_closed_form,
     twist_oracle,
     twist_p_form,
-    twisted_endpoints,
 )
 from util import max_rel, rel_err
 
@@ -57,36 +57,42 @@ def printed_vertex_images(coords, t):
     return img0, img1, img3
 
 
+def moved_vertex_images(coords, t):
+    """Images of the moving vertices 0, x1, x3 under the stratum map."""
+    ends = endpoints(coords)
+    m = stratum_map(coords, t)
+    return tuple(m.apply(ProjectivePoint(v)) for v in (0.0, ends.x1, ends.x3))
+
+
 class TestStratumMap:
     def test_zero_twist_is_identity(self):
-        assert stratum_map(UNIT, 0.0).transform == MobiusMap.identity()
+        assert stratum_map(UNIT, 0.0) == MobiusMap.identity()
 
     @given(coord_quadruples, twist_params)
     def test_matches_expanded_matrix(self, coords, t):
-        built = stratum_map(coords, t).transform
+        built = stratum_map(coords, t)
         assert built.isclose(expanded_stratum_matrix(coords, t), rel_tol=1e-9, abs_tol=1e-9)
 
     @given(coord_quadruples, st.floats(0.1, 3.0))
     def test_fixed_points_are_axis_endpoints(self, coords, t):
-        strat = stratum_map(coords, t)
-        att, rep = strat.transform.fixed_points()
+        core = core_geodesic(coords)
+        att, rep = stratum_map(coords, t).fixed_points()
         # positive twist attracts toward the negative axis endpoint p2
-        assert att.isclose(strat.p2, rel_tol=1e-8, abs_tol=1e-8)
-        assert rep.isclose(strat.p1, rel_tol=1e-8, abs_tol=1e-8)
+        assert att.isclose(core.p2, rel_tol=1e-8, abs_tol=1e-8)
+        assert rep.isclose(core.p1, rel_tol=1e-8, abs_tol=1e-8)
 
     def test_translation_length_scales(self):
         core = core_geodesic(UNIT)
         for t in (0.25, 1.0, 2.5, -1.5):
             strat = stratum_map(UNIT, t)
-            assert rel_err(strat.transform.translation_length(), abs(t) * core.length) < 1e-10
-            assert strat.twist_length == pytest.approx(t * core.length, rel=1e-12)
+            assert rel_err(strat.translation_length(), abs(t) * core.length) < 1e-10
 
     def test_unit_twist_equals_holonomy(self):
         # same axis, same length, same direction: at t = 1 the stratum map
         # is the gluing holonomy itself
-        assert stratum_map(UNIT, 1.0).transform == holonomy_f2(UNIT)
+        assert stratum_map(UNIT, 1.0) == holonomy_f2(UNIT)
         coords = AnnulusCoords(2, 0.7, 3, 0.4)
-        assert stratum_map(coords, 1.0).transform == holonomy_f2(coords)
+        assert stratum_map(coords, 1.0) == holonomy_f2(coords)
 
     def test_rejects_nonfinite_parameter(self):
         with pytest.raises(ValueError):
@@ -98,21 +104,21 @@ class TestStratumMap:
 class TestTwistedEndpoints:
     def test_zero_twist_moves_nothing(self):
         ends = endpoints(UNIT)
-        img0, img1, img3 = twisted_endpoints(UNIT, 0.0)
+        img0, img1, img3 = moved_vertex_images(UNIT, 0.0)
         assert img0.isclose(0.0, abs_tol=1e-12)
         assert img1.isclose(ends.x1, rel_tol=1e-12)
         assert img3.isclose(ends.x3, rel_tol=1e-12)
 
     def test_unit_coords_full_twist(self):
         # frozen from the per-vertex closed forms at t = 1
-        img0, img1, img3 = twisted_endpoints(UNIT, 1.0)
+        img0, img1, img3 = moved_vertex_images(UNIT, 1.0)
         assert img0.isclose(-1.0, rel_tol=1e-12)
         assert img1.isclose(-1.5, rel_tol=1e-12)
         assert img3.isclose(-4.0 / 3.0, rel_tol=1e-12)
 
     @given(coord_quadruples, twist_params)
     def test_matches_printed_formulas(self, coords, t):
-        images = twisted_endpoints(coords, t)
+        images = moved_vertex_images(coords, t)
         expected = printed_vertex_images(coords, t)
         for image, value in zip(images, expected):
             assert image.isclose(value, rel_tol=1e-8, abs_tol=1e-8)
