@@ -16,8 +16,6 @@ from .annulus import (
     coords_from_endpoints,
     core_geodesic,
     endpoints,
-    exponential_fixed_points,
-    holonomy_f2,
 )
 from .mobius import (
     INFINITY,
@@ -60,8 +58,6 @@ __all__ = [
     "cross_ratio",
     "dehn_twist",
     "endpoints",
-    "exponential_fixed_points",
-    "holonomy_f2",
     "random_coords",
     "stratum_map",
     "twist_closed_form",

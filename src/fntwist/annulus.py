@@ -3,8 +3,8 @@
 A point of the deformation space is a quadruple of positive cross-ratio
 coordinates (X1, X2, X3, X4), one per arc of the standard triangulation.
 From them we reconstruct the boundary endpoint configuration of a
-fundamental domain, the gluing holonomy along arc 2, and the core
-geodesic data (trace, length, axis endpoints).
+fundamental domain and the core geodesic data (trace, length, axis
+endpoints) of the gluing holonomy along arc 2.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mobius import INFINITY, MobiusMap, ProjectivePoint, cross_ratio
+from .mobius import INFINITY, ProjectivePoint, cross_ratio
 
 # Constructor rejects coordinate quadruples whose holonomy trace is within
 # this margin of the parabolic threshold 2.
@@ -34,8 +34,17 @@ ARC_QUADRUPLES = {
 }
 
 
-def _trace_abs(x1: float, x2: float) -> float:
-    return (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
+def _hyperbolic_trace(x1: float, x2: float) -> float:
+    tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
+    if tr <= 2.0 + HYPERBOLICITY_MARGIN:
+        raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2")
+    return tr
+
+
+def length_trace(x1: float, x2: float):
+    """(L, |trace|) of the core curve from X1, X2; AnnulusCoords' ValueError if not hyperbolic."""
+    tr = _hyperbolic_trace(x1, x2)
+    return 2.0 * math.acosh(tr / 2.0), tr
 
 
 @dataclass(frozen=True)
@@ -59,11 +68,7 @@ class AnnulusCoords:
             if v <= 0.0:
                 raise ValueError(f"coordinate {field.upper()} must be strictly positive, got {v}")
             object.__setattr__(self, field, v)
-        tr = _trace_abs(self.x1, self.x2)
-        if tr <= 2.0 + HYPERBOLICITY_MARGIN:
-            raise ValueError(
-                f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2"
-            )
+        _hyperbolic_trace(self.x1, self.x2)
 
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4)
@@ -128,17 +133,6 @@ def endpoints(coords: AnnulusCoords) -> EndpointConfig:
     )
 
 
-def holonomy_f2(coords: AnnulusCoords) -> MobiusMap:
-    """The gluing holonomy along arc 2.
-
-    It sends the fundamental-domain vertices 0, 1, infinity to x1,
-    infinity, x2; its axis is the lift of the core curve.
-    """
-    x1, x2 = coords.x1, coords.x2
-    s = math.sqrt(x1 * x2)
-    return MobiusMap(x1 * (x2 + 1.0) / s, -x1 / s, -1.0 / s, 1.0 / s)
-
-
 def core_geodesic(coords: AnnulusCoords) -> CoreGeodesic:
     """Trace, length and axis endpoints of the core geodesic.
 
@@ -147,8 +141,7 @@ def core_geodesic(coords: AnnulusCoords) -> CoreGeodesic:
     -X1, so no cancellation occurs.
     """
     x1, x2 = coords.x1, coords.x2
-    tr = _trace_abs(x1, x2)
-    length = 2.0 * math.acosh(tr / 2.0)
+    length, tr = length_trace(x1, x2)
     lin = x1 * (x2 + 1.0) - 1.0
     disc = (x1 * (x2 + 1.0) + 1.0) ** 2 - 4.0 * x1 * x2
     sq = math.sqrt(disc)
@@ -159,17 +152,6 @@ def core_geodesic(coords: AnnulusCoords) -> CoreGeodesic:
         p1 = (-lin + sq) / 2.0
         p2 = -x1 / p1
     return CoreGeodesic(trace_abs=tr, length=length, p1=p1, p2=p2)
-
-
-def exponential_fixed_points(coords: AnnulusCoords):
-    """Axis endpoints in the flow-normalized form 1 - sqrt(X1 X2) e^(-L/2), 1 - sqrt(X1 X2) e^(L/2).
-
-    Independent of the quadratic route in core_geodesic; the two must agree.
-    """
-    tr = _trace_abs(coords.x1, coords.x2)
-    length = 2.0 * math.acosh(tr / 2.0)
-    r = math.sqrt(coords.x1 * coords.x2)
-    return (1.0 - r * math.exp(-length / 2.0), 1.0 - r * math.exp(length / 2.0))
 
 
 def coords_from_endpoints(config: EndpointConfig) -> AnnulusCoords:

@@ -20,12 +20,20 @@ import json
 import math
 import sys
 
-from .annulus import AnnulusCoords, core_geodesic, coords_from_endpoints, endpoints
+from .annulus import AnnulusCoords, core_geodesic, coords_from_endpoints, endpoints, length_trace
 from .sampling import Lcg, random_coords
-from .twist import dehn_twist, twist_closed_form, twist_oracle, twist_p_form
+from .twist import (MAX_TWIST_LENGTH, TwistRangeError, dehn_twist, twist_closed_form,
+                    twist_from_core, twist_oracle, twist_p_form)
 
 # a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
+# One flow sample as a CSV line and as a JSON object at the indentation
+# json.dumps(indent=2) gives it.  "%r" writes float.__repr__, the text json
+# writes for a finite float; every sample value is finite.
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
+_JSON_SAMPLE = ("    {\n"
+                + ",\n".join(f"      {json.dumps(k)}: %r" for k in CSV_HEADER.split(","))
+                + "\n    }")
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -40,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; we report usage problems as 1
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def parse_coords(text: str) -> AnnulusCoords:
@@ -99,7 +103,7 @@ def _quadruple_report(coords, result, input_fields, fmt, out):
     if fmt == "csv":
         lines = [
             "X1,X2,X3,X4,L,trace",
-            ",".join(_fmt(v) for v in result.as_tuple() + (core.length, core.trace_abs)),
+            ",".join(f"{v:.17g}" for v in result.as_tuple() + (core.length, core.trace_abs)),
         ]
         _write_text("\n".join(lines) + "\n", out)
     else:
@@ -132,37 +136,33 @@ def cmd_dehn(args) -> int:
 def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t in [0, t_max].
 
-    Length and trace are recomputed from each sample so the emitted rows
-    exhibit, rather than assume, their invariance.
+    The start's invariants (L and the axis endpoints p1, p2) are computed
+    once and every sample is twisted from them.  Length and trace are still
+    recomputed from each sample's own X1, X2, so the emitted rows exhibit,
+    rather than assume, their invariance.
     """
+    core = core_geodesic(coords)
     samples = []
     for i in range(steps + 1):
         t = i * t_max / steps
-        point = twist_p_form(coords, t)
-        core = core_geodesic(point)
-        samples.append((t, *point.as_tuple(), core.length, core.trace_abs))
+        point = twist_from_core(coords, core, t)
+        samples.append((t, *point, *length_trace(point[0], point[1])))
     return samples
 
 
 def format_csv(samples) -> str:
-    lines = [CSV_HEADER]
-    for s in samples:
-        lines.append(",".join(_fmt(v) for v in s))
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + "".join([_CSV_ROW % s for s in samples])
 
 
 def format_flow_json(coords, t_max, steps, samples) -> str:
     core = core_geodesic(coords)
-    payload = {
+    head = json.dumps({
         "input": {"coords": list(coords.as_tuple()), "t_max": t_max, "steps": steps},
         "invariants": {"L": core.length, "trace": core.trace_abs},
-        # a dict literal per sample: building it with dict(zip(...)) costs more memory
-        "samples": [
-            {"t": t, "X1": x1, "X2": x2, "X3": x3, "X4": x4, "L": length, "trace": trace}
-            for t, x1, x2, x3, x4, length, trace in samples
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    }, indent=2)
+    rows = ",\n".join([_JSON_SAMPLE % s for s in samples])
+    # head ends with the closing "\n}"; the samples list goes in before it
+    return f'{head[:-2]},\n  "samples": [\n{rows}\n  ]\n}}\n'
 
 
 def _axis_value(sample, axis) -> float:
@@ -257,6 +257,10 @@ def cmd_flow(args) -> int:
     if not (math.isfinite(args.t) and args.t > 0.0):
         raise UsageError(f"--t must be positive and finite for flow sampling, got {args.t}")
     proj = parse_projection(args.proj)
+    length = core_geodesic(coords).length
+    if args.t * length > MAX_TWIST_LENGTH:
+        raise TwistRangeError(f"--t {args.t!r} times L = {length!r} exceeds {MAX_TWIST_LENGTH} "
+                              f"for coords {coords.as_tuple()}; the flow is not representable")
     samples = sample_flow(coords, args.t, args.steps)
     fmt = args.format or "csv"
     if fmt == "csv":

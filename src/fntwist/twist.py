@@ -4,6 +4,7 @@ Three independent routes compute the twisted quadruple:
 
 * twist_p_form, the one route production code calls, a rational function
   of e^(t L) and the axis endpoints p1, p2 taken from the quadratic route;
+  its second half, twist_from_core, lets a trajectory reuse one core;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
 * twist_oracle, a first-principles construction that builds the endpoint
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .annulus import AnnulusCoords, core_geodesic, endpoints
+from .annulus import AnnulusCoords, CoreGeodesic, core_geodesic, endpoints
 from .mobius import INFINITY, MobiusMap, ProjectivePoint, cross_ratio
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -56,21 +57,31 @@ def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
     return frame.inverse().compose(diagonal).compose(frame)
 
 
-def _guard_outputs(values) -> AnnulusCoords:
-    if not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise TwistRangeError(f"twisted coordinates left the representable range: {values}")
-    return AnnulusCoords(*values)
+def _out_of_range(why: str, coords: AnnulusCoords, name: str, value) -> TwistRangeError:
+    return TwistRangeError(
+        f"{why} for coords {coords.as_tuple()}, {name} = {value!r}; result not representable"
+    )
 
 
-def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
-    """Twist by t core lengths, in the axis-endpoint (p1, p2) form."""
-    t = _check_t(t)
-    core = core_geodesic(coords)
+def _checked(values, coords: AnnulusCoords, name: str, value):
+    """The twisted values, once each is checked to be positive and finite."""
+    y1, y2, y3, y4 = values  # chained comparisons: False for 0, inf and nan alike
+    if not (0.0 < y1 < math.inf and 0.0 < y2 < math.inf
+            and 0.0 < y3 < math.inf and 0.0 < y4 < math.inf):
+        raise _out_of_range(f"twisted coordinates {values} left the positive finite range",
+                            coords, name, value)
+    return values
+
+
+def twist_from_core(coords: AnnulusCoords, core: CoreGeodesic, t: float):
+    """The twisted quadruple as a 4-tuple, given core = core_geodesic(coords).
+
+    The invariants depend only on the start, so a trajectory computes them
+    once and calls this for every t.  t must already be a finite float.
+    """
     s = t * core.length
     if abs(s) > MAX_TWIST_LENGTH:
-        raise TwistRangeError(
-            f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}; result not representable"
-        )
+        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
     x1, x2, x3, x4 = coords.as_tuple()
     p1, p2 = core.p1, core.p2
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
@@ -90,7 +101,12 @@ def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
         y1 = x1 * axis_sq * shrink / (axis_gap * axis_gap)
         y2 = x2 * edge2_gap * edge2_gap / (axis_sq * shrink)
     ratio = axis_gap / edge2_gap
-    return _guard_outputs((y1, y2, x3 * ratio, x4 * ratio))
+    return _checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t)
+
+
+def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
+    """Twist by t core lengths, in the axis-endpoint (p1, p2) form."""
+    return AnnulusCoords(*twist_from_core(coords, core_geodesic(coords), _check_t(t)))
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
@@ -102,9 +118,7 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     length = 2.0 * math.acosh(tr / 2.0)
     s = t * length
     if abs(s) > MAX_TWIST_LENGTH:
-        raise TwistRangeError(
-            f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}; result not representable"
-        )
+        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
     half_up = math.exp(length / 2.0)
     half_down = math.exp(-length / 2.0)
     scale = 2.0 * (x1 * x2 * math.cosh(length) - 2.0 * r * math.cosh(length / 2.0) + x1 + 1.0)
@@ -125,7 +139,7 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
         y1 = x1 * scale * shrink / (outer * outer)
         y2 = x2 * inner * inner / (scale * shrink)
     ratio = outer / inner
-    return _guard_outputs((y1, y2, x3 * ratio, x4 * ratio))
+    return AnnulusCoords(*_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
 
 
 def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
@@ -176,6 +190,9 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
         raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
     values = coords.as_tuple()
     step = _dehn_forward if m >= 0 else _dehn_backward
-    for _ in range(abs(m)):
-        values = step(values)
-    return AnnulusCoords(*values)
+    try:
+        for _ in range(abs(m)):
+            values = step(values)
+    except ArithmeticError as exc:  # a coordinate reached 0 or overflowed mid-iteration
+        raise _out_of_range(f"Dehn iteration raised {type(exc).__name__}", coords, "m", m) from None
+    return AnnulusCoords(*_checked(values, coords, "m", m))

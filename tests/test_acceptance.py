@@ -19,14 +19,13 @@ from fntwist import (
     cross_ratio,
     dehn_twist,
     endpoints,
-    exponential_fixed_points,
     random_coords,
     twist_closed_form,
     twist_oracle,
     twist_p_form,
 )
 from fntwist.cli import main
-from util import max_rel, rel_err
+from util import exponential_fixed_points, max_rel, rel_err
 
 SEED = 42
 

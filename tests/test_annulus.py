@@ -14,11 +14,9 @@ from fntwist import (
     coords_from_endpoints,
     core_geodesic,
     endpoints,
-    exponential_fixed_points,
-    holonomy_f2,
     random_coords,
 )
-from util import max_rel, rel_err
+from util import exponential_fixed_points, holonomy_f2, max_rel, rel_err
 
 coord_values = st.floats(0.1, 10.0)
 coord_quadruples = st.builds(AnnulusCoords, coord_values, coord_values, coord_values, coord_values)

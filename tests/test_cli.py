@@ -1,13 +1,20 @@
 import hashlib
+import importlib.util
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from fntwist.cli import main, parse_projection, render_svg, sample_flow
-from fntwist import AnnulusCoords
-from util import rel_err
+from fntwist import cli
+from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
+                         sample_flow)
+from fntwist import AnnulusCoords, core_geodesic, twist_p_form
+from util import format_csv_reference, format_flow_json_reference, rel_err
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -65,12 +72,14 @@ class TestDehnCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["output"] == pytest.approx([1.0, 1.0, 1.0, 1.0], rel=1e-12)
 
-    @pytest.mark.parametrize("m", [200, -170])
+    @pytest.mark.parametrize("m", [170, 200, -170])
     def test_arithmetic_failure_exit_one(self, m, capsys):
-        # m = 200 underflows X1 to zero, m = -170 overflows (1 + X2)^2
+        # m = 170 underflows X1 to zero, m = 200 then divides by it,
+        # m = -170 overflows (1 + X2)^2
         assert run(["dehn", "--coords", "1.3,0.7,2,0.5", "--m", str(m)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "(1.3, 0.7, 2.0, 0.5)" in err and f"m = {m}" in err
 
 
 class TestFlowCommand:
@@ -109,8 +118,18 @@ class TestFlowCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_span_beyond_cap_fails_before_sampling(self, monkeypatch, capsys):
+        def unexpected(*_args):
+            raise AssertionError("flow sampled a span whose end is out of range")
+
+        monkeypatch.setattr(cli, "sample_flow", unexpected)
+        # L = 1.92..., so t L = 770 at the end of the span, above the cap 650
+        assert run(["flow", "--coords", "1,1,1,1", "--t", "400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t 400.0 ") and "(1.0, 1.0, 1.0, 1.0)" in err
+
     def test_readme_example_matches_golden_digests(self, tmp_path):
-        golden = Path(__file__).resolve().parents[1] / "benchmarks" / "golden_sha256.json"
+        golden = ROOT / "benchmarks" / "golden_sha256.json"
         recorded = json.loads(golden.read_text())
         args = ["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "100",
                 "--proj", "logX1,logX2"]
@@ -165,6 +184,48 @@ class TestFlowCommand:
         assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10",
                     "--out", "/nonexistent-dir/x.csv"]) == 1
         assert capsys.readouterr().err
+
+
+class TestFlowAcrossShiftedBranch:
+    # the flow-export benchmark's seed-1 start: at t_max = 250 the trajectory
+    # crosses |t L| = 300, where the kernel switches to the shifted exponent
+    START = AnnulusCoords(0.7021313130275187, 1.0442750112350174,
+                          1.9802443731858395, 0.5830781685819689)
+    T_MAX, STEPS = 250.0, 2000
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return sample_flow(self.START, self.T_MAX, self.STEPS)
+
+    def test_rows_equal_twist_p_form_exactly(self, samples):
+        assert self.T_MAX * core_geodesic(self.START).length > 300.0
+        assert len(samples) == self.STEPS + 1
+        for i, row in enumerate(samples):
+            t = i * self.T_MAX / self.STEPS
+            point = twist_p_form(self.START, t)
+            core = core_geodesic(point)
+            # every value is a positive finite float or t = 0.0, so == is bit equality
+            assert row == (t, *point.as_tuple(), core.length, core.trace_abs)
+
+    def test_formatters_equal_reference_bytes(self, samples):
+        assert format_csv(samples) == format_csv_reference(samples)
+        assert (format_flow_json(self.START, self.T_MAX, self.STEPS, samples)
+                == format_flow_json_reference(self.START, self.T_MAX, self.STEPS, samples))
+
+
+class TestDrawFlowScript:
+    def test_writes_curves_and_reports_rounding_level_drift(self, tmp_path, capsys, monkeypatch):
+        path = ROOT / "scripts" / "draw_flow.py"
+        spec = importlib.util.spec_from_file_location("draw_flow", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), "--steps", "20", "--out", str(tmp_path)])
+        script.main()
+        assert len(list(tmp_path.glob("*.csv"))) == 5
+        assert [p.name for p in tmp_path.glob("*.svg")] == ["flow_overlay.svg"]
+        assert (tmp_path / "flow_overlay.svg").read_text().count("<polyline") == 5
+        drifts = [float(d) for d in re.findall(r"max drift (\S+),", capsys.readouterr().out)]
+        assert len(drifts) == 5 and max(drifts) < 1e-12
 
 
 class TestProjectionParsing:

@@ -13,9 +13,8 @@ from fntwist import (
     ProjectivePoint,
     cross_ratio,
     endpoints,
-    holonomy_f2,
 )
-from util import rel_err
+from util import holonomy_f2, rel_err
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # positive fixed point of f2 at (1,1,1,1)
 

@@ -12,13 +12,12 @@ from fntwist import (
     core_geodesic,
     dehn_twist,
     endpoints,
-    holonomy_f2,
     stratum_map,
     twist_closed_form,
     twist_oracle,
     twist_p_form,
 )
-from util import max_rel, rel_err
+from util import holonomy_f2, max_rel, rel_err
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
 DEHN_OF_UNIT = (0.25, 1.0, 2.0, 2.0)
@@ -192,10 +191,17 @@ class TestLargeParameters:
     def test_range_error_beyond_cap(self):
         length = core_geodesic(UNIT).length
         too_far = 651.0 / length
-        with pytest.raises(TwistRangeError):
+        with pytest.raises(TwistRangeError, match=rf"\(1\.0, 1\.0, 1\.0, 1\.0\), t = {too_far!r}"):
             twist_p_form(UNIT, too_far)
-        with pytest.raises(TwistRangeError):
+        with pytest.raises(TwistRangeError, match=rf"\(1\.0, 1\.0, 1\.0, 1\.0\), t = {-too_far!r}"):
             twist_closed_form(UNIT, -too_far)
+
+    def test_unrepresentable_result_names_input(self):
+        # within the cap, but X2' = X2 e^(-t L) overflows from X2 = 1e100
+        coords = AnnulusCoords(1, 1e100, 1, 1)
+        for twist in (twist_p_form, twist_closed_form):
+            with pytest.raises(TwistRangeError, match=r"\(1\.0, 1e\+100, 1\.0, 1\.0\), t = -2\.5"):
+                twist(coords, -2.5)
 
     def test_trace_still_invariant_near_cap(self):
         length = core_geodesic(UNIT).length

@@ -1,6 +1,9 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and reference implementations it checks against."""
 
-from fntwist import AnnulusCoords
+import json
+import math
+
+from fntwist import AnnulusCoords, MobiusMap, core_geodesic
 
 
 def rel_err(a: float, b: float) -> float:
@@ -11,3 +14,47 @@ def max_rel(a, b) -> float:
     ta = a.as_tuple() if isinstance(a, AnnulusCoords) else tuple(a)
     tb = b.as_tuple() if isinstance(b, AnnulusCoords) else tuple(b)
     return max(rel_err(u, v) for u, v in zip(ta, tb))
+
+
+def holonomy_f2(coords: AnnulusCoords) -> MobiusMap:
+    """The gluing holonomy along arc 2.
+
+    It sends the fundamental-domain vertices 0, 1, infinity to x1,
+    infinity, x2; its axis is the lift of the core curve.
+    """
+    x1, x2 = coords.x1, coords.x2
+    s = math.sqrt(x1 * x2)
+    return MobiusMap(x1 * (x2 + 1.0) / s, -x1 / s, -1.0 / s, 1.0 / s)
+
+
+def exponential_fixed_points(coords: AnnulusCoords):
+    """Axis endpoints in the flow-normalized form 1 - sqrt(X1 X2) e^(-L/2), 1 - sqrt(X1 X2) e^(L/2).
+
+    Independent of the quadratic route in core_geodesic; the two must agree.
+    """
+    r = math.sqrt(coords.x1 * coords.x2)
+    tr = (coords.x1 * (coords.x2 + 1.0) + 1.0) / r
+    length = 2.0 * math.acosh(tr / 2.0)
+    return (1.0 - r * math.exp(-length / 2.0), 1.0 - r * math.exp(length / 2.0))
+
+
+def format_csv_reference(samples) -> str:
+    """Flow CSV written value by value, as the CLI once did."""
+    lines = ["t,X1,X2,X3,X4,L,trace"]
+    for s in samples:
+        lines.append(",".join(f"{v:.17g}" for v in s))
+    return "\n".join(lines) + "\n"
+
+
+def format_flow_json_reference(coords, t_max, steps, samples) -> str:
+    """Flow JSON as one json.dumps tree, as the CLI once wrote it."""
+    core = core_geodesic(coords)
+    payload = {
+        "input": {"coords": list(coords.as_tuple()), "t_max": t_max, "steps": steps},
+        "invariants": {"L": core.length, "trace": core.trace_abs},
+        "samples": [
+            {"t": t, "X1": x1, "X2": x2, "X3": x3, "X4": x4, "L": length, "trace": trace}
+            for t, x1, x2, x3, x4, length, trace in samples
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
