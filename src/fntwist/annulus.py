@@ -37,8 +37,20 @@ ARC_QUADRUPLES = {
 def _hyperbolic_trace(x1: float, x2: float) -> float:
     tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
     if tr <= 2.0 + HYPERBOLICITY_MARGIN:
-        raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2")
+        raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2 "
+                         f"for X1 = {x1!r}, X2 = {x2!r}")
     return tr
+
+
+def _coordinate(field: str, v) -> float:
+    try:
+        v = float(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"coordinate {field} must be a number, got {v!r}") from None
+    if not 0.0 < v < math.inf:  # one test when v is valid; False for nan, inf, 0 and below
+        why = "strictly positive" if math.isfinite(v) else "finite"
+        raise ValueError(f"coordinate {field} must be {why}, got {v!r}")
+    return v
 
 
 def length_trace(x1: float, x2: float):
@@ -57,17 +69,11 @@ class AnnulusCoords:
     x4: float
 
     def __post_init__(self):
-        for field in ("x1", "x2", "x3", "x4"):
-            v = getattr(self, field)
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                raise ValueError(f"coordinate {field.upper()} must be a number, got {v!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"coordinate {field.upper()} must be finite, got {v!r}")
-            if v <= 0.0:
-                raise ValueError(f"coordinate {field.upper()} must be strictly positive, got {v}")
-            object.__setattr__(self, field, v)
+        # object.__setattr__ passes the frozen guard without giving the instance a full __dict__
+        object.__setattr__(self, "x1", _coordinate("X1", self.x1))
+        object.__setattr__(self, "x2", _coordinate("X2", self.x2))
+        object.__setattr__(self, "x3", _coordinate("X3", self.x3))
+        object.__setattr__(self, "x4", _coordinate("X4", self.x4))
         _hyperbolic_trace(self.x1, self.x2)
 
     def as_tuple(self):

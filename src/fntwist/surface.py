@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .annulus import AnnulusCoords
-from .twist import twist_p_form
+from .twist import TwistRangeError, twist_p_form
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,32 @@ class AnnulusEmbedding:
         if len(set(idx)) != 4:
             raise ValueError(f"embedding indices must be pairwise distinct, got {idx}")
         for i in idx:
-            if not isinstance(i, int) or i < 1:
+            if not isinstance(i, int) or isinstance(i, bool) or i < 1:
                 raise ValueError(f"embedding indices must be integers >= 1, got {i!r}")
 
     def as_tuple(self):
         return (self.i1, self.i2, self.i3, self.i4)
 
 
+def _prevalidated(values: tuple) -> SurfaceCoords:
+    coords = object.__new__(SurfaceCoords)  # the caller's entries already pass __post_init__
+    object.__setattr__(coords, "values", values)
+    return coords
+
+
 def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> SurfaceCoords:
     """Twist the embedded annulus quadruple by t, leaving all other entries alone.
 
-    Untouched entries are copied bit for bit.  Raises if an index exceeds
-    the vector length or the extracted quadruple is not a valid annulus
-    coordinate tuple.
+    Untouched entries are copied bit for bit, unchecked; errors name the embedding indices.
     """
-    n = len(coords)
-    for i in embedding.as_tuple():
-        if i > n:
-            raise ValueError(f"embedding index {i} exceeds coordinate count {n}")
-    quad = AnnulusCoords(*(coords.values[i - 1] for i in embedding.as_tuple()))
-    twisted = twist_p_form(quad, t)
+    idx = embedding.as_tuple()
+    try:
+        if max(idx) > len(coords):
+            raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}")
+        twisted = twist_p_form(AnnulusCoords(*(coords.values[i - 1] for i in idx)), t)
+    except (ValueError, TwistRangeError) as exc:
+        raise type(exc)(f"{exc}; embedding indices {idx}") from None
     out = list(coords.values)
-    for i, v in zip(embedding.as_tuple(), twisted.as_tuple()):
+    for i, v in zip(idx, twisted.as_tuple()):
         out[i - 1] = v
-    return SurfaceCoords(tuple(out))
+    return _prevalidated(tuple(out))

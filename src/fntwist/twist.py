@@ -88,18 +88,19 @@ def twist_from_core(coords: AnnulusCoords, core: CoreGeodesic, t: float):
     # x1 + p2 and p2 are negative, so both gaps are sums of like-signed
     # terms and the evaluation is cancellation-free for every t
     if s <= _SHIFT_THRESHOLD:
-        grow = math.exp(s)
-        axis_gap = (x1 + p1) * grow - (x1 + p2)
-        edge2_gap = p1 * grow - p2
-        y1 = x1 * axis_sq * grow / (axis_gap * axis_gap)
-        y2 = x2 * edge2_gap * edge2_gap / (axis_sq * grow)
+        factor = math.exp(s)
+        axis_gap = (x1 + p1) * factor - (x1 + p2)
+        edge2_gap = p1 * factor - p2
     else:
         # factor e^(t L) out of both gaps so intermediates stay bounded
-        shrink = math.exp(-s)
-        axis_gap = (x1 + p1) - (x1 + p2) * shrink
-        edge2_gap = p1 - p2 * shrink
-        y1 = x1 * axis_sq * shrink / (axis_gap * axis_gap)
-        y2 = x2 * edge2_gap * edge2_gap / (axis_sq * shrink)
+        factor = math.exp(-s)
+        axis_gap = (x1 + p1) - (x1 + p2) * factor
+        edge2_gap = p1 - p2 * factor
+    try:
+        y1 = x1 * axis_sq * factor / (axis_gap * axis_gap)
+        y2 = x2 * edge2_gap * edge2_gap / (axis_sq * factor)
+    except ZeroDivisionError:  # p1 rounded to 1, so x1 + p2 is 0 and the gap's square underflows
+        raise _out_of_range("the axis gap vanished", coords, "t", t) from None
     ratio = axis_gap / edge2_gap
     return _checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t)
 
@@ -127,17 +128,15 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     inner_a = r * half_down - 1.0
     inner_b = r * half_up - 1.0
     if s <= _SHIFT_THRESHOLD:
-        grow = math.exp(s)
-        outer = outer_a * grow - outer_b
-        inner = inner_a * grow - inner_b
-        y1 = x1 * scale * grow / (outer * outer)
-        y2 = x2 * inner * inner / (scale * grow)
+        factor = math.exp(s)
+        outer = outer_a * factor - outer_b
+        inner = inner_a * factor - inner_b
     else:
-        shrink = math.exp(-s)
-        outer = outer_a - outer_b * shrink
-        inner = inner_a - inner_b * shrink
-        y1 = x1 * scale * shrink / (outer * outer)
-        y2 = x2 * inner * inner / (scale * shrink)
+        factor = math.exp(-s)
+        outer = outer_a - outer_b * factor
+        inner = inner_a - inner_b * factor
+    y1 = x1 * scale * factor / (outer * outer)
+    y2 = x2 * inner * inner / (scale * factor)
     ratio = outer / inner
     return AnnulusCoords(*_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
 
@@ -186,7 +185,7 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
     evaluated, so the output is an exact rational expression in the inputs
     up to rounding.
     """
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
     values = coords.as_tuple()
     step = _dehn_forward if m >= 0 else _dehn_backward

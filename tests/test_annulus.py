@@ -41,9 +41,36 @@ class TestAnnulusCoords:
             AnnulusCoords(1e-13, 1e13, 1, 1)
         AnnulusCoords(1e-3, 1e3, 1, 1)  # comfortably hyperbolic
 
+    def test_not_hyperbolic_message_names_x1_x2(self):
+        with pytest.raises(ValueError, match=r"^holonomy is not hyperbolic: .* "
+                                             r"for X1 = 1e-13, X2 = 10000000000000\.0$"):
+            AnnulusCoords(1e-13, 1e13, 1, 1)
+
     def test_coerces_to_float(self):
         coords = AnnulusCoords(1, 2, 3, 4)
         assert all(isinstance(v, float) for v in coords.as_tuple())
+
+    @pytest.mark.parametrize("value, expected", [(2, 2.0), ("2.5", 2.5), (True, 1.0)])
+    def test_accepted_inputs_become_floats(self, value, expected):
+        coords = AnnulusCoords(1.0, 1.0, value, 1.0)
+        assert type(coords.x3) is float and coords.x3 == expected
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "coordinate X3 must be finite, got nan"),
+        (math.inf, "coordinate X3 must be finite, got inf"),
+        (0, "coordinate X3 must be strictly positive, got 0.0"),
+        (-1, "coordinate X3 must be strictly positive, got -1.0"),
+        ("abc", "coordinate X3 must be a number, got 'abc'"),
+        (None, "coordinate X3 must be a number, got None"),
+    ])
+    def test_rejected_inputs_exact_message(self, value, message):
+        with pytest.raises(ValueError) as info:
+            AnnulusCoords(1.0, 1.0, value, 1.0)
+        assert str(info.value) == message
+
+    def test_first_invalid_coordinate_is_reported(self):
+        with pytest.raises(ValueError, match=r"^coordinate X2 must be finite"):
+            AnnulusCoords(1.0, math.inf, -1.0, None)
 
 
 class TestEndpoints:

@@ -49,6 +49,19 @@ class TestTwistCommand:
         err = capsys.readouterr().err
         assert "X2" in err and "positive" in err
 
+    def test_not_hyperbolic_names_x1_x2(self, capsys):
+        assert run(["twist", "--coords", "1e-12,1e12,1,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: holonomy is not hyperbolic") and err.count("\n") == 1
+        assert "X1 = 1e-12, X2 = 1000000000000.0" in err
+
+    def test_vanishing_axis_gap_exit_one(self, capsys):
+        coords = "2.3647617156901504e-12,2.78013075470335e-12,3.2912851745561317e-10,657824.7683302268"
+        assert run(["twist", "--coords", coords, "--t", "-8.04826917421387"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the axis gap vanished") and err.count("\n") == 1
+        assert f"({coords.replace(',', ', ')}), t = -8.04826917421387" in err
+
     def test_wrong_arity_exit_one(self, capsys):
         assert run(["twist", "--coords", "1,2,3"]) == 1
         assert "four" in capsys.readouterr().err

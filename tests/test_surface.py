@@ -1,11 +1,15 @@
+import dataclasses
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fntwist import (
     AnnulusCoords,
     AnnulusEmbedding,
     SurfaceCoords,
+    TwistRangeError,
     apply_local_twist,
     twist_p_form,
 )
@@ -32,6 +36,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             AnnulusEmbedding(0, 1, 2, 3)
 
+    def test_bool_embedding_index(self):
+        # bool subclasses int, but True is not index 1
+        with pytest.raises(ValueError, match="embedding indices must be integers >= 1, got True"):
+            AnnulusEmbedding(True, 2, 3, 4)
+
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
             apply_local_twist(VECTOR, AnnulusEmbedding(1, 2, 3, 7), 1.0)
@@ -42,8 +51,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             apply_local_twist(vec, FRONT, 1.0)
 
+    @pytest.mark.parametrize("values, indices, t, error, cause", [
+        ((1.0, 1.0, 1.0, 1.0, 5.0, 7.0), (1, 2, 3, 7), 1.0, ValueError,
+         "embedding index 7 exceeds coordinate count 6"),
+        ((5.0, 1e-13, 1e13, 1.0, 1.0), (2, 3, 4, 5), 1.0, ValueError,
+         "holonomy is not hyperbolic"),
+        ((1.0, 1.0, 1.0, 1.0, 5.0, 7.0), (1, 2, 3, 4), 400.0, TwistRangeError,
+         "exceeds 650.0"),
+    ], ids=["index-past-end", "not-hyperbolic", "beyond-cap"])
+    def test_failure_names_embedding_and_leaves_input_alone(self, values, indices, t, error,
+                                                            cause):
+        vec = SurfaceCoords(values)
+        with pytest.raises(error) as info:
+            apply_local_twist(vec, AnnulusEmbedding(*indices), t)
+        assert type(info.value) is error
+        assert cause in str(info.value)
+        assert str(info.value).endswith(f"; embedding indices {indices}")
+        assert vec.values == values and vec == SurfaceCoords(values)
+
 
 class TestApplyLocalTwist:
+    def test_result_is_a_valid_frozen_surface_coords(self):
+        out = apply_local_twist(VECTOR, AnnulusEmbedding(2, 5, 1, 6), 0.6)
+        assert out == SurfaceCoords(out.values)
+        assert type(out.values) is tuple and all(type(v) is float for v in out.values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.values = VECTOR.values
+
     def test_zero_twist_unchanged(self):
         assert apply_local_twist(VECTOR, FRONT, 0.0).values == pytest.approx(
             VECTOR.values, rel=1e-12
@@ -87,3 +121,21 @@ class TestApplyLocalTwist:
         stepwise = apply_local_twist(apply_local_twist(VECTOR, FRONT, s), FRONT, t)
         direct = apply_local_twist(VECTOR, FRONT, s + t)
         assert max_rel(stepwise.values, direct.values) < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_seeded_word_and_inverse_touch_only_their_quadruples(seed):
+    rng = random.Random(seed)
+    start = SurfaceCoords(tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(200)))
+    word = [(AnnulusEmbedding(*rng.sample(range(1, 201), 4)), rng.uniform(-1.0, 1.0))
+            for _ in range(50)]
+    steps = word + [(emb, -t) for emb, t in reversed(word)]
+    vec = start
+    for emb, t in steps:
+        out = apply_local_twist(vec, emb, t)
+        written = set(emb.as_tuple())
+        assert all(out.values[i - 1] == vec.values[i - 1]
+                   for i in range(1, 201) if i not in written)
+        vec = out
+    assert max_rel(vec.values, start.values) < 1e-10

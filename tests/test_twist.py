@@ -203,6 +203,14 @@ class TestLargeParameters:
             with pytest.raises(TwistRangeError, match=r"\(1\.0, 1e\+100, 1\.0, 1\.0\), t = -2\.5"):
                 twist(coords, -2.5)
 
+    def test_vanishing_axis_gap_is_a_range_error(self):
+        # p1 rounds to 1, so x1 + p2 is 0 and the squared axis gap underflows
+        coords = AnnulusCoords(2.3647617156901504e-12, 2.78013075470335e-12,
+                               3.2912851745561317e-10, 657824.7683302268)
+        with pytest.raises(TwistRangeError, match="axis gap vanished") as info:
+            twist_p_form(coords, -8.04826917421387)
+        assert f"{coords.as_tuple()}, t = -8.04826917421387" in str(info.value)
+
     def test_trace_still_invariant_near_cap(self):
         length = core_geodesic(UNIT).length
         moved = twist_p_form(UNIT, 640.0 / length)
@@ -247,3 +255,8 @@ class TestDehnTwist:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             dehn_twist(UNIT, 1.5)
+
+    @pytest.mark.parametrize("m", [True, False])
+    def test_rejects_bool(self, m):
+        with pytest.raises(TypeError, match="twist count must be an integer, got bool"):
+            dehn_twist(UNIT, m)
