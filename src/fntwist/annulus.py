@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mobius import INFINITY, ProjectivePoint, cross_ratio
-
 # Constructor rejects coordinate quadruples whose holonomy trace is within
 # this margin of the parabolic threshold 2.
 HYPERBOLICITY_MARGIN = 1e-12
@@ -80,6 +78,17 @@ class AnnulusCoords:
         return (self.x1, self.x2, self.x3, self.x4)
 
 
+def _prevalidated(x1: float, x2: float, x3: float, x4: float) -> AnnulusCoords:
+    """AnnulusCoords of four floats the caller has proved positive and finite."""
+    _hyperbolic_trace(x1, x2)
+    coords = object.__new__(AnnulusCoords)
+    object.__setattr__(coords, "x1", x1)
+    object.__setattr__(coords, "x2", x2)
+    object.__setattr__(coords, "x3", x3)
+    object.__setattr__(coords, "x4", x4)
+    return coords
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Boundary endpoints x1..x4 of the fundamental domain, 0, 1, inf pinned.
@@ -106,16 +115,6 @@ class EndpointConfig:
             )
         if not self.x4 > 1.0:
             raise ValueError(f"endpoint order violated: need x4 > 1, got x4={self.x4}")
-
-    def point(self, label: str) -> ProjectivePoint:
-        """The labelled vertex as a boundary point (labels of ARC_QUADRUPLES)."""
-        if label == "zero":
-            return ProjectivePoint(0.0)
-        if label == "one":
-            return ProjectivePoint(1.0)
-        if label == "inf":
-            return INFINITY
-        return ProjectivePoint(getattr(self, label))
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,8 @@ def coords_from_endpoints(config: EndpointConfig) -> AnnulusCoords:
     Inverse of endpoints(): evaluates the four frozen vertex quadruples of
     ARC_QUADRUPLES.  Round-trips to the identity on valid coordinates.
     """
-    values = []
-    for i in (1, 2, 3, 4):
-        pts = [config.point(label) for label in ARC_QUADRUPLES[i]]
-        values.append(cross_ratio(*pts))
-    return AnnulusCoords(*values)
+    x1, x2, x3, x4 = config.x1, config.x2, config.x3, config.x4
+    # the float operations of mobius.cross_ratio with infinity in place z
+    # (rows 1, 2, 4: -(w - x)/(y - x)) or in place y (row 3: -(w - x)/(w - z))
+    return AnnulusCoords(-(x1 - 0.0) / (1.0 - 0.0), -(x2 - x1) / (0.0 - x1),
+                         -(x3 - 0.0) / (x3 - x1), -(0.0 - 1.0) / (x4 - 1.0))

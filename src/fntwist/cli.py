@@ -93,7 +93,8 @@ def _rel_err(a: float, b: float) -> float:
 
 
 def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
-    return max(_rel_err(u, v) for u, v in zip(a.as_tuple(), b.as_tuple()))
+    return max(_rel_err(a.x1, b.x1), _rel_err(a.x2, b.x2),
+               _rel_err(a.x3, b.x3), _rel_err(a.x4, b.x4))
 
 
 # ---------------------------------------------------------------- twist/dehn

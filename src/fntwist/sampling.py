@@ -40,5 +40,11 @@ class Lcg:
 
 
 def random_coords(rng: Lcg, lo: float = 0.1, hi: float = 10.0) -> AnnulusCoords:
-    """Coordinate quadruple with entries log-uniform in (lo, hi)."""
-    return AnnulusCoords(*(rng.log_uniform(lo, hi) for _ in range(4)))
+    """Four Lcg.log_uniform(lo, hi) draws, in the same float operations, as coordinates."""
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    state, values = rng.state, []
+    for _ in range(4):
+        state = (_MULTIPLIER * state + _INCREMENT) & _MASK
+        values.append(math.exp(log_lo + (log_hi - log_lo) * ((state >> 11) * _SCALE)))
+    rng.state = state
+    return AnnulusCoords(*values)

@@ -7,9 +7,10 @@ Three independent routes compute the twisted quadruple:
   its second half, twist_from_core, lets a trajectory reuse one core;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
-* twist_oracle, a first-principles construction that builds the endpoint
-  configuration, applies the stratum map to the vertices it moves, and
-  recomputes the four cross ratios.
+* twist_oracle, a first-principles check that shares only p1, p2 and L
+  with the p-form: it twists the endpoint configuration in the axis frame
+  w = (p - p1)/(p - p2), where the map is w -> e^(t L) w, and re-reads the
+  four cross ratios there.  stratum_map gives the same map as a matrix.
 
 At integer parameters the flow is a power of the Dehn twist, a rational
 map implemented separately in dehn_twist.  All routes accept negative t;
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import math
 
-from .annulus import AnnulusCoords, CoreGeodesic, core_geodesic, endpoints
-from .mobius import INFINITY, MobiusMap, ProjectivePoint, cross_ratio
+from .annulus import AnnulusCoords, CoreGeodesic, _prevalidated, core_geodesic, endpoints
+from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
 # (X2' grows like e^(t L)); the p-form switches to a shifted-exponent
@@ -107,7 +108,7 @@ def twist_from_core(coords: AnnulusCoords, core: CoreGeodesic, t: float):
 
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist by t core lengths, in the axis-endpoint (p1, p2) form."""
-    return AnnulusCoords(*twist_from_core(coords, core_geodesic(coords), _check_t(t)))
+    return _prevalidated(*twist_from_core(coords, core_geodesic(coords), _check_t(t)))
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
@@ -135,33 +136,64 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
         factor = math.exp(-s)
         outer = outer_a - outer_b * factor
         inner = inner_a - inner_b * factor
-    y1 = x1 * scale * factor / (outer * outer)
-    y2 = x2 * inner * inner / (scale * factor)
+    try:
+        y1 = x1 * scale * factor / (outer * outer)
+        y2 = x2 * inner * inner / (scale * factor)
+    except ZeroDivisionError:  # outer * outer or scale * factor underflowed
+        raise _out_of_range("a closed-form denominator vanished", coords, "t", t) from None
     ratio = outer / inner
-    return AnnulusCoords(*_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
+    return _prevalidated(*_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
 
 
 def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     """First-principles twist: move the vertices, re-read the cross ratios.
 
-    Builds the endpoint configuration, pushes the moving vertices 0, x1, x3
-    through the stratum map, and evaluates the four quadruples of
-    ARC_QUADRUPLES on the displaced configuration (1, x4, infinity and x2
-    stay put).  Shares no algebra with the closed forms beyond the stratum
-    map itself, so it serves as their independent check.
+    Shares with the p-form only (p1, p2, L) from core_geodesic, the |t| L
+    cap and the positive/finite guard; its twist and cross-ratio algebra is
+    its own.  Cross ratios are Mobius invariant, so it reads the endpoint
+    configuration in the axis frame W(v) = (v - p1)/(v - p2), where the twist
+    multiplies W of the moving vertices 0, x1, x3 by e^(t L) and fixes 1, x2,
+    x4 and infinity (W = 1), and evaluates the quadruples of ARC_QUADRUPLES.
     """
     t = _check_t(t)
+    core = core_geodesic(coords)
+    s = t * core.length
+    if abs(s) > MAX_TWIST_LENGTH:
+        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
+    x1, x2, x3, x4 = coords.as_tuple()
     ends = endpoints(coords)
-    m = stratum_map(coords, t)
-    one = ProjectivePoint(1.0)
-    moved_zero = m.apply(ProjectivePoint(0.0))
-    moved_x1 = m.apply(ProjectivePoint(ends.x1))
-    moved_x3 = m.apply(ProjectivePoint(ends.x3))
-    y1 = cross_ratio(moved_zero, one, INFINITY, moved_x1)
-    y2 = cross_ratio(moved_x1, moved_zero, INFINITY, ProjectivePoint(ends.x2))
-    y3 = cross_ratio(moved_zero, INFINITY, moved_x1, moved_x3)
-    y4 = cross_ratio(one, ProjectivePoint(ends.x4), INFINITY, moved_zero)
-    return AnnulusCoords(y1, y2, y3, y4)
+    p1, p2 = core.p1, core.p2
+    width = p1 - p2
+    if s <= _SHIFT_THRESHOLD:
+        moved, fixed = math.exp(s), 1.0
+    else:  # scale the fixed side by e^(-t L) instead, so intermediates stay bounded
+        moved, fixed = 1.0, math.exp(-s)
+    try:  # every gap is a sum of like-signed terms
+        # v - p2 for v = 0, 1, x4, x1, x3 (positive) and x2 (negative)
+        g0, g_one, g4 = -p2, 1.0 - p2, ends.x4 - p2
+        g1 = x1 * x1 * x2 / (x1 + p1)  # -(x1 + p2)
+        g3 = x1 / (x3 + 1.0) + g1
+        g2 = -x1 * x2 * p1 / (x1 + p1)
+        # twisted W, negative on the moving side and positive on the fixed side
+        m0, m1 = moved * -p1 / g0, moved * -(x1 + p1) / g1
+        f_one = fixed * (x1 * x2 / g_one) / g_one  # 1 - p1 = X1 X2/(1 - p2)
+        f2 = fixed * (ends.x2 - p1) / g2
+        # within a side W(u) - W(v) = width (u - v)/((u - p2)(v - p2)); W(v) - 1 = -width/(v - p2)
+        d10 = moved * width * -x1 / (g1 * g0)  # W'(x1) - W'(0)
+        d30 = moved * width * ends.x3 / (g3 * g0)
+        d31 = moved * width * (x1 / (x3 + 1.0)) / (g3 * g1)
+        d_inf_one = fixed * width / g_one  # W'(inf) - W'(1)
+        d2_inf = -fixed * width / g2
+        d_inf_4 = fixed * width / g4
+        d4_one = fixed * width / x4 / (g4 * g_one)  # x4 - 1 = 1/X4
+        # [x:y:z:w] = (w - x)/(w - z) * (z - y)/(y - x) on the rows of ARC_QUADRUPLES
+        y1 = d10 / (m1 - fixed) * d_inf_one / (f_one - m0)
+        y2 = (f2 - m1) / d2_inf * (fixed - m0) / -d10
+        y3 = d30 / d31 * (m1 - fixed) / (fixed - m0)
+        y4 = (m0 - f_one) / (m0 - fixed) * d_inf_4 / d4_one
+    except ZeroDivisionError:  # a gap underflowed
+        raise _out_of_range("a vertex gap vanished", coords, "t", t) from None
+    return _prevalidated(*_checked((y1, y2, y3, y4), coords, "t", t))
 
 
 def _dehn_forward(values):
@@ -194,4 +226,4 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
             values = step(values)
     except ArithmeticError as exc:  # a coordinate reached 0 or overflowed mid-iteration
         raise _out_of_range(f"Dehn iteration raised {type(exc).__name__}", coords, "m", m) from None
-    return AnnulusCoords(*_checked(values, coords, "m", m))
+    return _prevalidated(*_checked(values, coords, "m", m))

@@ -16,7 +16,8 @@ from fntwist import (
     endpoints,
     random_coords,
 )
-from util import exponential_fixed_points, holonomy_f2, max_rel, rel_err
+from util import (coords_from_endpoints_reference, exponential_fixed_points, holonomy_f2,
+                  max_rel, rel_err)
 
 coord_values = st.floats(0.1, 10.0)
 coord_quadruples = st.builds(AnnulusCoords, coord_values, coord_values, coord_values, coord_values)
@@ -191,3 +192,20 @@ class TestCoordsFromEndpoints:
     @given(coord_quadruples)
     def test_round_trip_identity(self, coords):
         assert max_rel(coords_from_endpoints(endpoints(coords)), coords) < 1e-10
+
+    @given(st.builds(AnnulusCoords, *[st.floats(1e-8, 1e8)] * 4))
+    def test_bit_identical_to_cross_ratio_route(self, coords):
+        config = endpoints(coords)
+        assert coords_from_endpoints(config) == coords_from_endpoints_reference(config)
+
+
+class TestRandomCoords:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**64 - 1])
+    @pytest.mark.parametrize("bounds", [(), (1e-6, 1e6)])
+    def test_four_log_uniform_draws_exactly(self, seed, bounds):
+        rng, expected_rng = Lcg(seed), Lcg(seed)
+        for _ in range(50):
+            drawn = random_coords(rng, *bounds)
+            expected = tuple(expected_rng.log_uniform(*(bounds or (0.1, 10.0))) for _ in range(4))
+            assert drawn.as_tuple() == expected
+            assert rng.state == expected_rng.state

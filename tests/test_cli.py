@@ -290,6 +290,10 @@ class TestVerifyCommand:
     def test_nonpositive_tolerance_usage_error(self):
         assert run(["verify", "--samples", "10", "--tol", "-1"]) == 1
 
+    def test_seed_five_passes_at_default_tolerance(self, capsys):
+        assert run(["verify", "--samples", "5000", "--seed", "5"]) == 0
+        assert "all suites within tolerance 1e-09" in capsys.readouterr().out
+
     def test_deterministic_report(self, capsys):
         assert run(["verify", "--samples", "60", "--seed", "7"]) == 0
         first = capsys.readouterr().out

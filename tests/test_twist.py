@@ -17,7 +17,7 @@ from fntwist import (
     twist_oracle,
     twist_p_form,
 )
-from util import holonomy_f2, max_rel, rel_err
+from util import holonomy_f2, load_benchmark_module, max_rel, rel_err
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
 DEHN_OF_UNIT = (0.25, 1.0, 2.0, 2.0)
@@ -211,10 +211,44 @@ class TestLargeParameters:
             twist_p_form(coords, -8.04826917421387)
         assert f"{coords.as_tuple()}, t = -8.04826917421387" in str(info.value)
 
+    def test_closed_form_underflow_is_a_range_error(self):
+        # outer * outer underflows to 0; p-form returns a value here
+        coords = AnnulusCoords(1.1261458825999687e-12, 246.91558461878586,
+                               1.120418656161017e-05, 2.495954148229757e-05)
+        with pytest.raises(TwistRangeError, match="denominator vanished") as info:
+            twist_closed_form(coords, -19.47954048344156)
+        assert f"{coords.as_tuple()}, t = -19.47954048344156" in str(info.value)
+
     def test_trace_still_invariant_near_cap(self):
         length = core_geodesic(UNIT).length
         moved = twist_p_form(UNIT, 640.0 / length)
         assert rel_err(core_geodesic(moved).trace_abs, 3.0) < 1e-9
+
+
+class TestOracle:
+    @pytest.mark.parametrize("coords, t", [
+        ((1e-6, 1e-6, 1.0, 1.0), 5.0),
+        ((1e-6, 1e-6, 1.0, 1.0), -0.37),
+        # kernel-sweep's p-form cancellation input, where x1 + p2 cancels
+        ((3.5831068678109596e-06, 1.8997443570524623e-06, 0.8248758561768424, 7.552935108750808),
+         -2.8560576456242535),
+    ])
+    def test_matches_mpmath_reference_where_p1_nears_one(self, coords, t):
+        exact = load_benchmark_module("reference").twist_reference(coords, t)
+        assert max_rel(twist_oracle(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-12
+
+    @pytest.mark.parametrize("s", [350.0, 640.0, -350.0, -640.0])
+    @pytest.mark.parametrize("coords", [UNIT, AnnulusCoords(2, 0.7, 3, 0.4),
+                                        AnnulusCoords(0.3, 5, 0.2, 7)])
+    def test_agrees_with_p_form_at_large_twist(self, coords, s):
+        # s > 300 takes both routes' shifted branch
+        t = s / core_geodesic(coords).length
+        assert max_rel(twist_oracle(coords, t), twist_p_form(coords, t)) < 1e-12
+
+    def test_range_error_beyond_cap(self):
+        too_far = 651.0 / core_geodesic(UNIT).length
+        with pytest.raises(TwistRangeError, match=rf"\(1\.0, 1\.0, 1\.0, 1\.0\), t = {too_far!r}"):
+            twist_oracle(UNIT, too_far)
 
 
 class TestDehnTwist:

@@ -1,9 +1,22 @@
 """Shared helpers for the test suite, and reference implementations it checks against."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
-from fntwist import AnnulusCoords, MobiusMap, core_geodesic
+from fntwist import (ARC_QUADRUPLES, INFINITY, AnnulusCoords, MobiusMap, ProjectivePoint,
+                     core_geodesic, cross_ratio)
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_benchmark_module(name: str):
+    """benchmarks/<name>.py as a fresh module object, not entered in sys.modules."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rel_err(a: float, b: float) -> float:
@@ -36,6 +49,17 @@ def exponential_fixed_points(coords: AnnulusCoords):
     tr = (coords.x1 * (coords.x2 + 1.0) + 1.0) / r
     length = 2.0 * math.acosh(tr / 2.0)
     return (1.0 - r * math.exp(-length / 2.0), 1.0 - r * math.exp(length / 2.0))
+
+
+def coords_from_endpoints_reference(config) -> AnnulusCoords:
+    """coords_from_endpoints through cross_ratio on ProjectivePoints, as the library once did."""
+    pinned = {"zero": ProjectivePoint(0.0), "one": ProjectivePoint(1.0), "inf": INFINITY}
+    values = []
+    for i in (1, 2, 3, 4):
+        pts = [pinned[label] if label in pinned else ProjectivePoint(getattr(config, label))
+               for label in ARC_QUADRUPLES[i]]
+        values.append(cross_ratio(*pts))
+    return AnnulusCoords(*values)
 
 
 def format_csv_reference(samples) -> str:
