@@ -42,7 +42,7 @@ def main():
         with open(csv_path, "w", newline="") as fp:
             fp.write(format_csv(samples))
         curves.append((samples, color))
-        trace = core_geodesic(coords).trace_abs
+        trace = core_geodesic(coords)[1]
         drift = max(abs(s[6] - trace) / trace for s in samples)  # s[6]: trace column
         print(f"start {start}: trace {trace:.6f}, max drift {drift:.3e}, wrote {csv_path}")
 

@@ -9,10 +9,7 @@ of the twist inside coordinate vectors of larger surfaces.
 """
 
 from .annulus import (
-    ARC_QUADRUPLES,
     AnnulusCoords,
-    CoreGeodesic,
-    EndpointConfig,
     coords_from_endpoints,
     core_geodesic,
     endpoints,
@@ -39,12 +36,9 @@ from .twist import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARC_QUADRUPLES",
     "AnnulusCoords",
     "AnnulusEmbedding",
-    "CoreGeodesic",
     "DegenerateCrossRatioError",
-    "EndpointConfig",
     "INFINITY",
     "Lcg",
     "MobiusMap",

@@ -2,9 +2,16 @@
 
 A point of the deformation space is a quadruple of positive cross-ratio
 coordinates (X1, X2, X3, X4), one per arc of the standard triangulation.
-From them we reconstruct the boundary endpoint configuration of a
-fundamental domain and the core geodesic data (trace, length, axis
-endpoints) of the gluing holonomy along arc 2.
+From them we reconstruct the boundary endpoints (x1, x2, x3, x4) of a
+fundamental domain and the core geodesic data (length, trace, axis
+endpoints) of the gluing holonomy along arc 2, both as plain tuples.
+
+The fundamental domain has the vertices x1..x4 and the pinned points 0, 1
+and infinity.  Each coordinate is the cross ratio of the quadrilateral
+around its arc, read in counterclockwise order starting at an endpoint of
+the arc: X1 = [0:1:inf:x1], X2 = [x1:0:inf:x2], X3 = [0:inf:x1:x3] and
+X4 = [1:x4:inf:0].  Arc 2 is read across the lift with endpoints
+(x1, inf), whose fourth vertex is the gluing image of infinity, x2.
 """
 
 from __future__ import annotations
@@ -16,21 +23,6 @@ from dataclasses import dataclass
 # this margin of the parabolic threshold 2.
 HYPERBOLICITY_MARGIN = 1e-12
 
-# Vertex quadruple, in cross-ratio argument order [x:y:z:w], whose cross
-# ratio recovers each coordinate.  Vertices are labelled points of the
-# fundamental domain: the four arc endpoints x1..x4 plus the pinned points
-# 0, 1, infinity.  The first vertex of each row is an endpoint of the arc
-# itself (the diagonal of the quadrilateral); the order is the
-# counterclockwise order the quadrilateral induces on the circle.  Arc 2
-# is read off across the lift with endpoints (x1, infinity), whose fourth
-# vertex is the gluing image of infinity, namely x2.
-ARC_QUADRUPLES = {
-    1: ("zero", "one", "inf", "x1"),
-    2: ("x1", "zero", "inf", "x2"),
-    3: ("zero", "inf", "x1", "x3"),
-    4: ("one", "x4", "inf", "zero"),
-}
-
 
 def _hyperbolic_trace(x1: float, x2: float) -> float:
     tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
@@ -40,7 +32,7 @@ def _hyperbolic_trace(x1: float, x2: float) -> float:
     return tr
 
 
-def _coordinate(field: str, v) -> float:
+def _coordinate(field, v) -> float:
     try:
         v = float(v)
     except (TypeError, ValueError):
@@ -89,57 +81,18 @@ def _prevalidated(x1: float, x2: float, x3: float, x4: float) -> AnnulusCoords:
     return coords
 
 
-@dataclass(frozen=True)
-class EndpointConfig:
-    """Boundary endpoints x1..x4 of the fundamental domain, 0, 1, inf pinned.
+def endpoints(coords: AnnulusCoords):
+    """Boundary endpoints (x1, x2, x3, x4) of the fundamental domain, 0, 1, inf pinned.
 
-    The real-line order forced by positive coordinates is
-    x2 < x1 < x3 < 0 < 1 < x4, with infinity closing the circle.
+    Positive coordinates put them in the order x2 < x1 < x3 < 0 < 1 < x4
+    on the real line, up to rounding.
     """
-
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-
-    def __post_init__(self):
-        for field in ("x1", "x2", "x3", "x4"):
-            v = float(getattr(self, field))
-            if not math.isfinite(v):
-                raise ValueError(f"endpoint {field} must be finite, got {v!r}")
-            object.__setattr__(self, field, v)
-        if not (self.x2 < self.x1 < self.x3 < 0.0):
-            raise ValueError(
-                f"endpoint order violated: need x2 < x1 < x3 < 0, "
-                f"got x1={self.x1}, x2={self.x2}, x3={self.x3}"
-            )
-        if not self.x4 > 1.0:
-            raise ValueError(f"endpoint order violated: need x4 > 1, got x4={self.x4}")
-
-
-@dataclass(frozen=True)
-class CoreGeodesic:
-    """Derived data of the core curve: |tr|, length, and axis endpoints p1 > 0 > p2."""
-
-    trace_abs: float
-    length: float
-    p1: float
-    p2: float
-
-
-def endpoints(coords: AnnulusCoords) -> EndpointConfig:
-    """Boundary endpoint configuration determined by the coordinates."""
     x1, x2, x3, x4 = coords.as_tuple()
-    return EndpointConfig(
-        x1=-x1,
-        x2=-x1 * (x2 + 1.0),
-        x3=-x1 * x3 / (x3 + 1.0),
-        x4=(x4 + 1.0) / x4,
-    )
+    return (-x1, -x1 * (x2 + 1.0), -x1 * x3 / (x3 + 1.0), (x4 + 1.0) / x4)
 
 
-def core_geodesic(coords: AnnulusCoords) -> CoreGeodesic:
-    """Trace, length and axis endpoints of the core geodesic.
+def core_geodesic(coords: AnnulusCoords):
+    """The core geodesic as (length, |trace|, p1, p2), with axis endpoints p1 > 0 > p2.
 
     The axis endpoints are the roots of p^2 + (X1(X2+1) - 1) p - X1, taken
     larger-magnitude root first and the companion via the product of roots
@@ -156,17 +109,21 @@ def core_geodesic(coords: AnnulusCoords) -> CoreGeodesic:
     else:
         p1 = (-lin + sq) / 2.0
         p2 = -x1 / p1
-    return CoreGeodesic(trace_abs=tr, length=length, p1=p1, p2=p2)
+    return length, tr, p1, p2
 
 
-def coords_from_endpoints(config: EndpointConfig) -> AnnulusCoords:
-    """Recover the coordinate quadruple from an endpoint configuration.
+def coords_from_endpoints(ends) -> AnnulusCoords:
+    """Recover the coordinate quadruple from endpoints (x1, x2, x3, x4).
 
-    Inverse of endpoints(): evaluates the four frozen vertex quadruples of
-    ARC_QUADRUPLES.  Round-trips to the identity on valid coordinates.
+    Inverse of endpoints(): evaluates the four cross ratios of the module
+    docstring.  Round-trips to the identity on valid coordinates.
     """
-    x1, x2, x3, x4 = config.x1, config.x2, config.x3, config.x4
+    x1, x2, x3, x4 = ends
+    # exactly the order in which all four cross ratios are positive; false for nan
+    if not (-math.inf < x2 < x1 < x3 < 0.0 and 1.0 < x4 < math.inf):
+        raise ValueError(f"endpoints {tuple(ends)} violate the order "
+                         "x2 < x1 < x3 < 0 < 1 < x4 of finite values")
     # the float operations of mobius.cross_ratio with infinity in place z
-    # (rows 1, 2, 4: -(w - x)/(y - x)) or in place y (row 3: -(w - x)/(w - z))
+    # (X1, X2, X4: -(w - x)/(y - x)) or in place y (X3: -(w - x)/(w - z))
     return AnnulusCoords(-(x1 - 0.0) / (1.0 - 0.0), -(x2 - x1) / (0.0 - x1),
                          -(x3 - 0.0) / (x3 - x1), -(0.0 - 1.0) / (x4 - 1.0))

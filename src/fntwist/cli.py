@@ -100,18 +100,18 @@ def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
 # ---------------------------------------------------------------- twist/dehn
 
 def _quadruple_report(coords, result, input_fields, fmt, out):
-    core = core_geodesic(coords)
+    length, trace, _, _ = core_geodesic(coords)
     if fmt == "csv":
         lines = [
             "X1,X2,X3,X4,L,trace",
-            ",".join(f"{v:.17g}" for v in result.as_tuple() + (core.length, core.trace_abs)),
+            ",".join(f"{v:.17g}" for v in result.as_tuple() + (length, trace)),
         ]
         _write_text("\n".join(lines) + "\n", out)
     else:
         payload = {
             "input": input_fields,
-            "L": core.length,
-            "trace": core.trace_abs,
+            "L": length,
+            "trace": trace,
             "output": list(result.as_tuple()),
         }
         _write_text(json.dumps(payload, indent=2) + "\n", out)
@@ -156,10 +156,10 @@ def format_csv(samples) -> str:
 
 
 def format_flow_json(coords, t_max, steps, samples) -> str:
-    core = core_geodesic(coords)
+    length, trace, _, _ = core_geodesic(coords)
     head = json.dumps({
         "input": {"coords": list(coords.as_tuple()), "t_max": t_max, "steps": steps},
-        "invariants": {"L": core.length, "trace": core.trace_abs},
+        "invariants": {"L": length, "trace": trace},
     }, indent=2)
     rows = ",\n".join([_JSON_SAMPLE % s for s in samples])
     # head ends with the closing "\n}"; the samples list goes in before it
@@ -258,7 +258,7 @@ def cmd_flow(args) -> int:
     if not (math.isfinite(args.t) and args.t > 0.0):
         raise UsageError(f"--t must be positive and finite for flow sampling, got {args.t}")
     proj = parse_projection(args.proj)
-    length = core_geodesic(coords).length
+    length = core_geodesic(coords)[0]
     if args.t * length > MAX_TWIST_LENGTH:
         raise TwistRangeError(f"--t {args.t!r} times L = {length!r} exceeds {MAX_TWIST_LENGTH} "
                               f"for coords {coords.as_tuple()}; the flow is not representable")
@@ -309,7 +309,7 @@ def run_verify_suites(samples: int, seed: int):
         moved = twist_p_form(coords, t)
         worst = max(
             worst,
-            _rel_err(core_geodesic(coords).trace_abs, core_geodesic(moved).trace_abs),
+            _rel_err(core_geodesic(coords)[1], core_geodesic(moved)[1]),
         )
     results["trace-invariance"] = worst
 

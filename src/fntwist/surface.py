@@ -10,10 +10,9 @@ taken on trust.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .annulus import AnnulusCoords
+from .annulus import AnnulusCoords, _coordinate
 from .twist import TwistRangeError, twist_p_form
 
 
@@ -24,13 +23,10 @@ class SurfaceCoords:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_coordinate(i, v) for i, v in enumerate(self.values, start=1))
         object.__setattr__(self, "values", values)
         if len(values) < 4:
             raise ValueError(f"need at least 4 coordinates, got {len(values)}")
-        for i, v in enumerate(values, start=1):
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"coordinate {i} must be positive and finite, got {v}")
 
     def __len__(self):
         return len(self.values)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .annulus import AnnulusCoords, CoreGeodesic, _prevalidated, core_geodesic, endpoints
+from .annulus import AnnulusCoords, _prevalidated, core_geodesic, endpoints, length_trace
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -50,10 +50,10 @@ def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
     length is |t| L; at t = 0 it is the identity.
     """
     t = _check_t(t)
-    core = core_geodesic(coords)
-    s = t * core.length
+    length, _, p1, p2 = core_geodesic(coords)
+    s = t * length
     # normalizer sends p1 to 0 and p2 to infinity; constructor supplies 1/sqrt(p1-p2)
-    frame = MobiusMap(1.0, -core.p1, 1.0, -core.p2)
+    frame = MobiusMap(1.0, -p1, 1.0, -p2)
     diagonal = MobiusMap(math.exp(s / 2.0), 0.0, 0.0, math.exp(-s / 2.0))
     return frame.inverse().compose(diagonal).compose(frame)
 
@@ -74,17 +74,17 @@ def _checked(values, coords: AnnulusCoords, name: str, value):
     return values
 
 
-def twist_from_core(coords: AnnulusCoords, core: CoreGeodesic, t: float):
+def twist_from_core(coords: AnnulusCoords, core, t: float):
     """The twisted quadruple as a 4-tuple, given core = core_geodesic(coords).
 
     The invariants depend only on the start, so a trajectory computes them
     once and calls this for every t.  t must already be a finite float.
     """
-    s = t * core.length
+    length, _, p1, p2 = core
+    s = t * length
     if abs(s) > MAX_TWIST_LENGTH:
         raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
     x1, x2, x3, x4 = coords.as_tuple()
-    p1, p2 = core.p1, core.p2
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
     # x1 + p2 and p2 are negative, so both gaps are sums of like-signed
     # terms and the evaluation is cancellation-free for every t
@@ -153,16 +153,16 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     its own.  Cross ratios are Mobius invariant, so it reads the endpoint
     configuration in the axis frame W(v) = (v - p1)/(v - p2), where the twist
     multiplies W of the moving vertices 0, x1, x3 by e^(t L) and fixes 1, x2,
-    x4 and infinity (W = 1), and evaluates the quadruples of ARC_QUADRUPLES.
+    x4 and infinity (W = 1), and evaluates the cross ratios X1 = [0:1:inf:x1],
+    X2 = [x1:0:inf:x2], X3 = [0:inf:x1:x3] and X4 = [1:x4:inf:0].
     """
     t = _check_t(t)
-    core = core_geodesic(coords)
-    s = t * core.length
+    length, _, p1, p2 = core_geodesic(coords)
+    s = t * length
     if abs(s) > MAX_TWIST_LENGTH:
         raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
     x1, x2, x3, x4 = coords.as_tuple()
-    ends = endpoints(coords)
-    p1, p2 = core.p1, core.p2
+    _, e2, e3, e4 = endpoints(coords)
     width = p1 - p2
     if s <= _SHIFT_THRESHOLD:
         moved, fixed = math.exp(s), 1.0
@@ -170,23 +170,23 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
         moved, fixed = 1.0, math.exp(-s)
     try:  # every gap is a sum of like-signed terms
         # v - p2 for v = 0, 1, x4, x1, x3 (positive) and x2 (negative)
-        g0, g_one, g4 = -p2, 1.0 - p2, ends.x4 - p2
+        g0, g_one, g4 = -p2, 1.0 - p2, e4 - p2
         g1 = x1 * x1 * x2 / (x1 + p1)  # -(x1 + p2)
         g3 = x1 / (x3 + 1.0) + g1
         g2 = -x1 * x2 * p1 / (x1 + p1)
         # twisted W, negative on the moving side and positive on the fixed side
         m0, m1 = moved * -p1 / g0, moved * -(x1 + p1) / g1
         f_one = fixed * (x1 * x2 / g_one) / g_one  # 1 - p1 = X1 X2/(1 - p2)
-        f2 = fixed * (ends.x2 - p1) / g2
+        f2 = fixed * (e2 - p1) / g2
         # within a side W(u) - W(v) = width (u - v)/((u - p2)(v - p2)); W(v) - 1 = -width/(v - p2)
         d10 = moved * width * -x1 / (g1 * g0)  # W'(x1) - W'(0)
-        d30 = moved * width * ends.x3 / (g3 * g0)
+        d30 = moved * width * e3 / (g3 * g0)
         d31 = moved * width * (x1 / (x3 + 1.0)) / (g3 * g1)
         d_inf_one = fixed * width / g_one  # W'(inf) - W'(1)
         d2_inf = -fixed * width / g2
         d_inf_4 = fixed * width / g4
         d4_one = fixed * width / x4 / (g4 * g_one)  # x4 - 1 = 1/X4
-        # [x:y:z:w] = (w - x)/(w - z) * (z - y)/(y - x) on the rows of ARC_QUADRUPLES
+        # [x:y:z:w] = (w - x)/(w - z) * (z - y)/(y - x) on the four quadruples above
         y1 = d10 / (m1 - fixed) * d_inf_one / (f_one - m0)
         y2 = (f2 - m1) / d2_inf * (fixed - m0) / -d10
         y3 = d30 / d31 * (m1 - fixed) / (fixed - m0)
@@ -213,13 +213,18 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
     """m-fold Dehn twist: the integer-parameter flow as a rational map.
 
     Iterates (X1^2 X2/(X1+1)^2, 1/X1, (X1+1) X3, (X1+1) X4) for positive m
-    and its rational inverse for negative m.  No transcendental function is
-    evaluated, so the output is an exact rational expression in the inputs
-    up to rounding.
+    and its rational inverse for negative m.  No transcendental function
+    enters the output, so it is an exact rational expression in the inputs
+    up to rounding; only the guard that |m| L stays within MAX_TWIST_LENGTH,
+    checked before iterating, uses the core length L.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
     values = coords.as_tuple()
+    length = length_trace(values[0], values[1])[0]
+    if abs(m) > MAX_TWIST_LENGTH / length:  # int-float comparison is exact: no overflow for huge m
+        raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {length!r})",
+                            coords, "m", m)
     step = _dehn_forward if m >= 0 else _dehn_backward
     try:
         for _ in range(abs(m)):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fntwist import (
     INFINITY,
     AnnulusCoords,
-    EndpointConfig,
     Lcg,
     MobiusMap,
     ProjectivePoint,
@@ -76,26 +75,41 @@ class TestAnnulusCoords:
 
 class TestEndpoints:
     def test_unit_coords(self):
-        ends = endpoints(AnnulusCoords(1, 1, 1, 1))
-        assert ends.x1 == pytest.approx(-1.0)
-        assert ends.x2 == pytest.approx(-2.0)
-        assert ends.x3 == pytest.approx(-0.5)
-        assert ends.x4 == pytest.approx(2.0)
+        e1, e2, e3, e4 = endpoints(AnnulusCoords(1, 1, 1, 1))
+        assert e1 == pytest.approx(-1.0)
+        assert e2 == pytest.approx(-2.0)
+        assert e3 == pytest.approx(-0.5)
+        assert e4 == pytest.approx(2.0)
 
     def test_doubled_first_coord(self):
-        ends = endpoints(AnnulusCoords(2, 1, 1, 1))
-        assert (ends.x1, ends.x2, ends.x3, ends.x4) == pytest.approx((-2.0, -4.0, -1.0, 2.0))
+        assert endpoints(AnnulusCoords(2, 1, 1, 1)) == pytest.approx((-2.0, -4.0, -1.0, 2.0))
 
     @given(coord_quadruples)
     def test_ordering_invariant(self, coords):
-        ends = endpoints(coords)
-        assert ends.x2 < ends.x1 < ends.x3 < 0.0 < 1.0 < ends.x4
+        e1, e2, e3, e4 = endpoints(coords)
+        assert e2 < e1 < e3 < 0.0 < 1.0 < e4
+
+    @pytest.mark.parametrize("coords", [(1, 1e-17, 1, 1), (1, 1, 1e17, 1), (1, 1, 1, 1e17),
+                                        (2, 3e-18, 1e18, 0.5)])
+    def test_extreme_quadruples_keep_the_order_up_to_rounding(self, coords):
+        # rounding merges x2 with x1, x3 with x1 or x4 with 1; nothing raises
+        e1, e2, e3, e4 = endpoints(AnnulusCoords(*coords))
+        assert e2 <= e1 <= e3 < 0.0 < 1.0 <= e4
 
     def test_ordering_violation_rejected(self):
-        with pytest.raises(ValueError):
-            EndpointConfig(x1=-2.0, x2=-1.0, x3=-0.5, x4=2.0)  # x1 and x2 swapped
-        with pytest.raises(ValueError):
-            EndpointConfig(x1=-1.0, x2=-2.0, x3=-0.5, x4=0.5)  # x4 inside (0, 1)
+        for ends in [
+            (-2.0, -1.0, -0.5, 2.0),  # x1 and x2 swapped
+            (-1.0, -2.0, -0.5, 0.5),  # x4 inside (0, 1)
+            (0.0, -2.0, -0.5, 2.0),  # x1 = 0
+            (-1.0, -2.0, -1.0, 2.0),  # x3 = x1
+            (-1.0, -2.0, -0.5, 1.0),  # x4 = 1
+            (-1.0, -math.inf, -0.5, 2.0),  # a non-finite entry
+            (-1.0, -2.0, -0.5, math.nan),
+        ]:
+            with pytest.raises(ValueError) as info:
+                coords_from_endpoints(ends)
+            assert str(info.value) == (f"endpoints {ends} violate the order "
+                                       "x2 < x1 < x3 < 0 < 1 < x4 of finite values")
 
 
 class TestHolonomy:
@@ -104,11 +118,11 @@ class TestHolonomy:
 
     @given(coord_quadruples)
     def test_pinned_point_images(self, coords):
-        ends = endpoints(coords)
+        e1, e2, _, _ = endpoints(coords)
         m = holonomy_f2(coords)
-        assert m.apply(0.0).isclose(ProjectivePoint(ends.x1), rel_tol=1e-9)
+        assert m.apply(0.0).isclose(ProjectivePoint(e1), rel_tol=1e-9)
         assert m.apply(1.0) == INFINITY
-        assert m.apply(INFINITY).isclose(ProjectivePoint(ends.x2), rel_tol=1e-9)
+        assert m.apply(INFINITY).isclose(ProjectivePoint(e2), rel_tol=1e-9)
 
     @given(coord_quadruples)
     def test_trace_closed_form(self, coords):
@@ -118,20 +132,20 @@ class TestHolonomy:
 
 class TestCoreGeodesic:
     def test_unit_values(self):
-        core = core_geodesic(AnnulusCoords(1, 1, 1, 1))
-        assert core.trace_abs == pytest.approx(3.0, rel=1e-12)
-        assert core.length == pytest.approx(1.9248473002, abs=1e-9)
-        assert core.p1 == pytest.approx(0.6180339887, abs=1e-9)
-        assert core.p2 == pytest.approx(-1.6180339887, abs=1e-9)
+        length, trace, p1, p2 = core_geodesic(AnnulusCoords(1, 1, 1, 1))
+        assert trace == pytest.approx(3.0, rel=1e-12)
+        assert length == pytest.approx(1.9248473002, abs=1e-9)
+        assert p1 == pytest.approx(0.6180339887, abs=1e-9)
+        assert p2 == pytest.approx(-1.6180339887, abs=1e-9)
 
     @given(coord_quadruples)
     def test_root_identities(self, coords):
-        core = core_geodesic(coords)
-        assert rel_err(core.p1 * core.p2, -coords.x1) < 1e-10
+        _, _, p1, p2 = core_geodesic(coords)
+        assert rel_err(p1 * p2, -coords.x1) < 1e-10
         # the sum crosses zero on the surface X1 X2 + X1 = 1, so the
         # comparison needs an absolute floor alongside the relative one
         assert math.isclose(
-            core.p1 + core.p2,
+            p1 + p2,
             1.0 - coords.x1 * coords.x2 - coords.x1,
             rel_tol=1e-10,
             abs_tol=1e-10,
@@ -139,11 +153,11 @@ class TestCoreGeodesic:
 
     @given(coord_quadruples)
     def test_signs(self, coords):
-        core = core_geodesic(coords)
-        assert 0.0 < core.p1 < 1.0
-        assert core.p2 < 0.0
-        assert core.trace_abs > 2.0
-        assert core.length > 0.0
+        length, trace, p1, p2 = core_geodesic(coords)
+        assert 0.0 < p1 < 1.0
+        assert p2 < 0.0
+        assert trace > 2.0
+        assert length > 0.0
 
     def test_exponential_form_agrees_on_seeded_sweep(self):
         # two independent routes to the axis endpoints: quadratic roots
@@ -151,15 +165,15 @@ class TestCoreGeodesic:
         rng = Lcg(20240601)
         for _ in range(1000):
             coords = random_coords(rng)
-            core = core_geodesic(coords)
+            _, _, p1, p2 = core_geodesic(coords)
             q1, q2 = exponential_fixed_points(coords)
-            assert rel_err(core.p1, q1) < 1e-10
-            assert rel_err(core.p2, q2) < 1e-10
+            assert rel_err(p1, q1) < 1e-10
+            assert rel_err(p2, q2) < 1e-10
 
     @given(coord_quadruples)
     def test_half_length_cosh_identity(self, coords):
-        core = core_geodesic(coords)
-        lhs = math.cosh(core.length / 2.0) * 2.0 * math.sqrt(coords.x1 * coords.x2)
+        length = core_geodesic(coords)[0]
+        lhs = math.cosh(length / 2.0) * 2.0 * math.sqrt(coords.x1 * coords.x2)
         rhs = coords.x1 * coords.x2 + coords.x1 + 1.0
         assert rel_err(lhs, rhs) < 1e-10
 
@@ -167,14 +181,14 @@ class TestCoreGeodesic:
     def test_matches_mobius_fixed_points(self, coords):
         # cross-module check: quadratic on the normalized matrix entries
         # against the closed form straight from the coordinates
-        core = core_geodesic(coords)
+        _, _, p1, p2 = core_geodesic(coords)
         att, rep = holonomy_f2(coords).fixed_points()
-        assert att.isclose(ProjectivePoint(core.p2), rel_tol=1e-9, abs_tol=1e-9)
-        assert rep.isclose(ProjectivePoint(core.p1), rel_tol=1e-9, abs_tol=1e-9)
+        assert att.isclose(ProjectivePoint(p2), rel_tol=1e-9, abs_tol=1e-9)
+        assert rep.isclose(ProjectivePoint(p1), rel_tol=1e-9, abs_tol=1e-9)
 
     @given(coord_quadruples)
     def test_length_matches_mobius_route(self, coords):
-        assert rel_err(core_geodesic(coords).length,
+        assert rel_err(core_geodesic(coords)[0],
                        holonomy_f2(coords).translation_length()) < 1e-10
 
 
@@ -195,8 +209,8 @@ class TestCoordsFromEndpoints:
 
     @given(st.builds(AnnulusCoords, *[st.floats(1e-8, 1e8)] * 4))
     def test_bit_identical_to_cross_ratio_route(self, coords):
-        config = endpoints(coords)
-        assert coords_from_endpoints(config) == coords_from_endpoints_reference(config)
+        ends = endpoints(coords)
+        assert coords_from_endpoints(ends) == coords_from_endpoints_reference(ends)
 
 
 class TestRandomCoords:

@@ -94,6 +94,13 @@ class TestDehnCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "(1.3, 0.7, 2.0, 0.5)" in err and f"m = {m}" in err
 
+    @pytest.mark.parametrize("m", [10**8, 10**400], ids=["1e8", "1e400"])
+    def test_count_beyond_cap_exit_one(self, m, capsys):
+        assert run(["dehn", "--coords", "1e-10,1e10,1,1", "--m", str(m)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: |m| * L exceeds 650.0 ") and err.count("\n") == 1
+        assert f"(1e-10, 10000000000.0, 1.0, 1.0), m = {m};" in err
+
 
 class TestFlowCommand:
     def test_csv_artifact(self, tmp_path):
@@ -211,14 +218,14 @@ class TestFlowAcrossShiftedBranch:
         return sample_flow(self.START, self.T_MAX, self.STEPS)
 
     def test_rows_equal_twist_p_form_exactly(self, samples):
-        assert self.T_MAX * core_geodesic(self.START).length > 300.0
+        assert self.T_MAX * core_geodesic(self.START)[0] > 300.0
         assert len(samples) == self.STEPS + 1
         for i, row in enumerate(samples):
             t = i * self.T_MAX / self.STEPS
             point = twist_p_form(self.START, t)
-            core = core_geodesic(point)
+            length, trace, _, _ = core_geodesic(point)
             # every value is a positive finite float or t = 0.0, so == is bit equality
-            assert row == (t, *point.as_tuple(), core.length, core.trace_abs)
+            assert row == (t, *point.as_tuple(), length, trace)
 
     def test_formatters_equal_reference_bytes(self, samples):
         assert format_csv(samples) == format_csv_reference(samples)
@@ -293,6 +300,24 @@ class TestVerifyCommand:
     def test_seed_five_passes_at_default_tolerance(self, capsys):
         assert run(["verify", "--samples", "5000", "--seed", "5"]) == 0
         assert "all suites within tolerance 1e-09" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed, report", [
+        ("0", "oracle-equivalence       max rel err 4.119e-15  ok\n"
+              "flow-additivity          max rel err 3.799e-15  ok\n"
+              "trace-invariance         max rel err 5.785e-16  ok\n"
+              "dehn-compatibility       max rel err 8.303e-15  ok\n"
+              "endpoint-round-trip      max rel err 2.039e-15  ok\n"
+              "verify: all suites within tolerance 1e-09 (1000 samples, seed 0)\n"),
+        ("5", "oracle-equivalence       max rel err 5.752e-15  ok\n"
+              "flow-additivity          max rel err 3.316e-15  ok\n"
+              "trace-invariance         max rel err 4.939e-16  ok\n"
+              "dehn-compatibility       max rel err 8.099e-15  ok\n"
+              "endpoint-round-trip      max rel err 1.722e-15  ok\n"
+              "verify: all suites within tolerance 1e-09 (1000 samples, seed 5)\n"),
+    ])
+    def test_default_report_bytes(self, seed, report, capsys):
+        assert run(["verify", "--samples", "1000", "--seed", seed]) == 0
+        assert capsys.readouterr().out == report
 
     def test_deterministic_report(self, capsys):
         assert run(["verify", "--samples", "60", "--seed", "7"]) == 0

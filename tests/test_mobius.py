@@ -91,8 +91,8 @@ class TestCrossRatio:
 
     def test_arc_one_quadruple(self):
         # quadruple of the arc-1 quadrilateral: recovers X1 = 1
-        ends = endpoints(AnnulusCoords(1, 1, 1, 1))
-        value = cross_ratio(0.0, 1.0, INFINITY, ends.x1)
+        x1 = endpoints(AnnulusCoords(1, 1, 1, 1))[0]
+        value = cross_ratio(0.0, 1.0, INFINITY, x1)
         assert value == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3])

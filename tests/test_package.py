@@ -1,0 +1,15 @@
+"""The package's exported names."""
+
+import fntwist
+
+
+def test_every_exported_name_resolves():
+    assert fntwist.__all__
+    for name in fntwist.__all__:
+        assert hasattr(fntwist, name), name
+
+
+def test_geometry_containers_are_gone():
+    # core_geodesic and endpoints return plain tuples; the arc table lives in tests/util.py
+    for name in ("ARC_QUADRUPLES", "CoreGeodesic", "EndpointConfig"):
+        assert not hasattr(fntwist, name), name

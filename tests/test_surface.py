@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -27,6 +28,19 @@ class TestValidation:
     def test_nonpositive_entry(self):
         with pytest.raises(ValueError):
             SurfaceCoords((1.0, -2.0, 3.0, 4.0))
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "coordinate 3 must be finite, got nan"),
+        (math.inf, "coordinate 3 must be finite, got inf"),
+        (0, "coordinate 3 must be strictly positive, got 0.0"),
+        (-1, "coordinate 3 must be strictly positive, got -1.0"),
+        ("x", "coordinate 3 must be a number, got 'x'"),
+        (None, "coordinate 3 must be a number, got None"),
+    ])
+    def test_rejected_entry_exact_message(self, value, message):
+        with pytest.raises(ValueError) as info:
+            SurfaceCoords((1.0, 1.0, value, 1.0, 5.0))
+        assert str(info.value) == message
 
     def test_repeated_embedding_index(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fntwist.twist
 from fntwist import (
     AnnulusCoords,
     MobiusMap,
@@ -17,6 +18,7 @@ from fntwist import (
     twist_oracle,
     twist_p_form,
 )
+from fntwist.annulus import length_trace
 from util import holonomy_f2, load_benchmark_module, max_rel, rel_err
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
@@ -30,10 +32,9 @@ twist_params = st.floats(-2.0, 3.0)
 
 def expanded_stratum_matrix(coords, t):
     """The closed-form matrix of the twist map on the moving side (test oracle)."""
-    core = core_geodesic(coords)
-    p1, p2 = core.p1, core.p2
-    grow = math.exp(t * core.length)
-    scale = (p1 - p2) * math.exp(t * core.length / 2.0)
+    length, _, p1, p2 = core_geodesic(coords)
+    grow = math.exp(t * length)
+    scale = (p1 - p2) * math.exp(t * length / 2.0)
     return MobiusMap(
         (p1 - p2 * grow) / scale,
         p1 * p2 * (grow - 1.0) / scale,
@@ -44,10 +45,9 @@ def expanded_stratum_matrix(coords, t):
 
 def printed_vertex_images(coords, t):
     """Per-vertex closed forms for the images of 0, x1, x3 (test oracle)."""
-    core = core_geodesic(coords)
-    p1, p2 = core.p1, core.p2
+    length, _, p1, p2 = core_geodesic(coords)
     x1, x3 = coords.x1, coords.x3
-    grow = math.exp(t * core.length)
+    grow = math.exp(t * length)
     img0 = p1 * p2 * (grow - 1.0) / (p1 * grow - p2)
     img1 = (x1 * ((p2 - 1.0) * grow - (p1 - 1.0))) / ((x1 + p1) * grow - (x1 + p2))
     img3 = (x1 * ((x3 * p2 - x3 - 1.0) * grow - (x3 * p1 - x3 - 1.0))) / (
@@ -58,9 +58,9 @@ def printed_vertex_images(coords, t):
 
 def moved_vertex_images(coords, t):
     """Images of the moving vertices 0, x1, x3 under the stratum map."""
-    ends = endpoints(coords)
+    e1, _, e3, _ = endpoints(coords)
     m = stratum_map(coords, t)
-    return tuple(m.apply(ProjectivePoint(v)) for v in (0.0, ends.x1, ends.x3))
+    return tuple(m.apply(ProjectivePoint(v)) for v in (0.0, e1, e3))
 
 
 class TestStratumMap:
@@ -74,17 +74,17 @@ class TestStratumMap:
 
     @given(coord_quadruples, st.floats(0.1, 3.0))
     def test_fixed_points_are_axis_endpoints(self, coords, t):
-        core = core_geodesic(coords)
+        _, _, p1, p2 = core_geodesic(coords)
         att, rep = stratum_map(coords, t).fixed_points()
         # positive twist attracts toward the negative axis endpoint p2
-        assert att.isclose(core.p2, rel_tol=1e-8, abs_tol=1e-8)
-        assert rep.isclose(core.p1, rel_tol=1e-8, abs_tol=1e-8)
+        assert att.isclose(p2, rel_tol=1e-8, abs_tol=1e-8)
+        assert rep.isclose(p1, rel_tol=1e-8, abs_tol=1e-8)
 
     def test_translation_length_scales(self):
-        core = core_geodesic(UNIT)
+        length = core_geodesic(UNIT)[0]
         for t in (0.25, 1.0, 2.5, -1.5):
             strat = stratum_map(UNIT, t)
-            assert rel_err(strat.translation_length(), abs(t) * core.length) < 1e-10
+            assert rel_err(strat.translation_length(), abs(t) * length) < 1e-10
 
     def test_unit_twist_equals_holonomy(self):
         # same axis, same length, same direction: at t = 1 the stratum map
@@ -102,11 +102,11 @@ class TestStratumMap:
 
 class TestTwistedEndpoints:
     def test_zero_twist_moves_nothing(self):
-        ends = endpoints(UNIT)
+        e1, _, e3, _ = endpoints(UNIT)
         img0, img1, img3 = moved_vertex_images(UNIT, 0.0)
         assert img0.isclose(0.0, abs_tol=1e-12)
-        assert img1.isclose(ends.x1, rel_tol=1e-12)
-        assert img3.isclose(ends.x3, rel_tol=1e-12)
+        assert img1.isclose(e1, rel_tol=1e-12)
+        assert img3.isclose(e3, rel_tol=1e-12)
 
     def test_unit_coords_full_twist(self):
         # frozen from the per-vertex closed forms at t = 1
@@ -165,7 +165,7 @@ class TestTwistRoutes:
     @given(coord_quadruples, twist_params)
     def test_trace_invariance(self, coords, t):
         moved = twist_p_form(coords, t)
-        assert rel_err(core_geodesic(moved).trace_abs, core_geodesic(coords).trace_abs) < 1e-9
+        assert rel_err(core_geodesic(moved)[1], core_geodesic(coords)[1]) < 1e-9
 
     def test_rejects_nonfinite_parameter(self):
         for twist in (twist_p_form, twist_closed_form, twist_oracle):
@@ -176,20 +176,20 @@ class TestTwistRoutes:
 class TestLargeParameters:
     def test_shifted_branch_agrees_across_routes(self):
         # pick t so that |t| L brackets the 300 branch point and stays valid
-        length = core_geodesic(UNIT).length
+        length = core_geodesic(UNIT)[0]
         for s in (250.0, 299.5, 300.5, 640.0):
             t = s / length
             assert max_rel(twist_p_form(UNIT, t), twist_closed_form(UNIT, t)) < 1e-9
 
     def test_additivity_across_branch_point(self):
-        length = core_geodesic(UNIT).length
+        length = core_geodesic(UNIT)[0]
         t_half = 160.0 / length  # combined twist length 320 crosses the branch
         stepwise = twist_p_form(twist_p_form(UNIT, t_half), t_half)
         direct = twist_p_form(UNIT, 2.0 * t_half)
         assert max_rel(stepwise, direct) < 1e-9
 
     def test_range_error_beyond_cap(self):
-        length = core_geodesic(UNIT).length
+        length = core_geodesic(UNIT)[0]
         too_far = 651.0 / length
         with pytest.raises(TwistRangeError, match=rf"\(1\.0, 1\.0, 1\.0, 1\.0\), t = {too_far!r}"):
             twist_p_form(UNIT, too_far)
@@ -220,9 +220,9 @@ class TestLargeParameters:
         assert f"{coords.as_tuple()}, t = -19.47954048344156" in str(info.value)
 
     def test_trace_still_invariant_near_cap(self):
-        length = core_geodesic(UNIT).length
+        length = core_geodesic(UNIT)[0]
         moved = twist_p_form(UNIT, 640.0 / length)
-        assert rel_err(core_geodesic(moved).trace_abs, 3.0) < 1e-9
+        assert rel_err(core_geodesic(moved)[1], 3.0) < 1e-9
 
 
 class TestOracle:
@@ -242,11 +242,19 @@ class TestOracle:
                                         AnnulusCoords(0.3, 5, 0.2, 7)])
     def test_agrees_with_p_form_at_large_twist(self, coords, s):
         # s > 300 takes both routes' shifted branch
-        t = s / core_geodesic(coords).length
+        t = s / core_geodesic(coords)[0]
         assert max_rel(twist_oracle(coords, t), twist_p_form(coords, t)) < 1e-12
 
+    @pytest.mark.parametrize("t", [0.1, -2.0, 5.0])
+    @pytest.mark.parametrize("coords", [(1.0, 1e-17, 1.0, 1.0), (1.0, 1.0, 1e17, 1.0),
+                                        (1.0, 1.0, 1.0, 1e17), (2.0, 3e-18, 1e18, 0.5)])
+    def test_matches_mpmath_reference_where_endpoints_merge(self, coords, t):
+        # valid quadruples whose endpoints round together: x2 = x1, x3 = x1 or x4 = 1
+        exact = load_benchmark_module("reference").twist_reference(coords, t)
+        assert max_rel(twist_oracle(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-12
+
     def test_range_error_beyond_cap(self):
-        too_far = 651.0 / core_geodesic(UNIT).length
+        too_far = 651.0 / core_geodesic(UNIT)[0]
         with pytest.raises(TwistRangeError, match=rf"\(1\.0, 1\.0, 1\.0, 1\.0\), t = {too_far!r}"):
             twist_oracle(UNIT, too_far)
 
@@ -277,14 +285,33 @@ class TestDehnTwist:
         assert max_rel(dehn_twist(coords, -1), twist_closed_form(coords, -1.0)) < 1e-9
 
     def test_no_transcendental_calls(self, monkeypatch):
-        # the rational map must never touch the exponential family
+        # the rational map must never touch the exponential family; the one
+        # transcendental input, L for the |m| L guard, is stubbed with its value
+        coords = AnnulusCoords(2, 3, 0.5, 4)
+        core = length_trace(coords.x1, coords.x2)
+        monkeypatch.setattr(fntwist.twist, "length_trace",
+                            lambda x1, x2: core if (x1, x2) == (2.0, 3.0) else None)
+
         def boom(*_args):
             raise AssertionError("transcendental call inside dehn_twist")
 
         for name in ("exp", "expm1", "cosh", "sinh", "tanh", "acosh", "log", "log1p"):
             monkeypatch.setattr(math, name, boom)
-        result = dehn_twist(AnnulusCoords(2, 3, 0.5, 4), 3)
+        result = dehn_twist(coords, 3)
         assert all(v > 0.0 for v in result.as_tuple())
+
+    @pytest.mark.parametrize("coords, m", [
+        ((1e-10, 1e10, 1.0, 1.0), 10**8),  # |m| L = 2000
+        ((1e-10, 1e10, 1.0, 1.0), -10**8),
+        ((1e-11, 1e11, 1.0, 1.0), 10**400),  # beyond float range: no conversion
+        ((1e-11, 1e11, 1.0, 1.0), -10**400),
+        ((1.0, 1.0, 1.0, 1.0), 338),  # |m| L = 650.6
+        ((1.0, 1.0, 1.0, 1.0), -338),
+    ], ids=["1e8", "-1e8", "1e400", "-1e400", "338", "-338"])
+    def test_count_beyond_cap_fails_before_iterating(self, coords, m):
+        with pytest.raises(TwistRangeError, match=r"^\|m\| \* L exceeds 650\.0 ") as info:
+            dehn_twist(AnnulusCoords(*coords), m)
+        assert f"for coords {coords}, m = {m};" in str(info.value)
 
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):

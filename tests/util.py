@@ -5,10 +5,24 @@ import json
 import math
 from pathlib import Path
 
-from fntwist import (ARC_QUADRUPLES, INFINITY, AnnulusCoords, MobiusMap, ProjectivePoint,
-                     core_geodesic, cross_ratio)
+from fntwist import INFINITY, AnnulusCoords, MobiusMap, ProjectivePoint, core_geodesic, cross_ratio
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+# Vertex quadruple, in cross-ratio argument order [x:y:z:w], whose cross
+# ratio recovers each coordinate.  Vertices are labelled points of the
+# fundamental domain: the four arc endpoints x1..x4 plus the pinned points
+# 0, 1, infinity.  The first vertex of each row is an endpoint of the arc
+# itself (the diagonal of the quadrilateral); the order is the
+# counterclockwise order the quadrilateral induces on the circle.  Arc 2
+# is read off across the lift with endpoints (x1, infinity), whose fourth
+# vertex is the gluing image of infinity, namely x2.
+ARC_QUADRUPLES = {
+    1: ("zero", "one", "inf", "x1"),
+    2: ("x1", "zero", "inf", "x2"),
+    3: ("zero", "inf", "x1", "x3"),
+    4: ("one", "x4", "inf", "zero"),
+}
 
 
 def load_benchmark_module(name: str):
@@ -51,15 +65,12 @@ def exponential_fixed_points(coords: AnnulusCoords):
     return (1.0 - r * math.exp(-length / 2.0), 1.0 - r * math.exp(length / 2.0))
 
 
-def coords_from_endpoints_reference(config) -> AnnulusCoords:
+def coords_from_endpoints_reference(ends) -> AnnulusCoords:
     """coords_from_endpoints through cross_ratio on ProjectivePoints, as the library once did."""
-    pinned = {"zero": ProjectivePoint(0.0), "one": ProjectivePoint(1.0), "inf": INFINITY}
-    values = []
-    for i in (1, 2, 3, 4):
-        pts = [pinned[label] if label in pinned else ProjectivePoint(getattr(config, label))
-               for label in ARC_QUADRUPLES[i]]
-        values.append(cross_ratio(*pts))
-    return AnnulusCoords(*values)
+    points = {"zero": ProjectivePoint(0.0), "one": ProjectivePoint(1.0), "inf": INFINITY}
+    points.update((f"x{i}", ProjectivePoint(v)) for i, v in enumerate(ends, start=1))
+    return AnnulusCoords(*(cross_ratio(*(points[label] for label in ARC_QUADRUPLES[i]))
+                           for i in (1, 2, 3, 4)))
 
 
 def format_csv_reference(samples) -> str:
@@ -72,10 +83,10 @@ def format_csv_reference(samples) -> str:
 
 def format_flow_json_reference(coords, t_max, steps, samples) -> str:
     """Flow JSON as one json.dumps tree, as the CLI once wrote it."""
-    core = core_geodesic(coords)
+    length, trace, _, _ = core_geodesic(coords)
     payload = {
         "input": {"coords": list(coords.as_tuple()), "t_max": t_max, "steps": steps},
-        "invariants": {"L": core.length, "trace": core.trace_abs},
+        "invariants": {"L": length, "trace": trace},
         "samples": [
             {"t": t, "X1": x1, "X2": x2, "X3": x3, "X4": x4, "L": length, "trace": trace}
             for t, x1, x2, x3, x4, length, trace in samples
