@@ -2,10 +2,12 @@
 
 The flow along the core curve of a one-marked-point-per-boundary annulus
 has a closed form in the four positive cross-ratio coordinates.  This
-package implements that closed form, an equivalent fixed-point form, and a
-first-principles boundary-map construction used to verify both, plus the
-Dehn-twist specialization at integer parameters and the local application
-of the twist inside coordinate vectors of larger surfaces.
+package computes it with the p-form, written in the axis endpoints of the
+core geodesic, which is the production route; the closed form and an
+axis-frame oracle are the references it is checked against.  It also
+provides the Dehn-twist specialization at integer parameters and the
+local application of the twist inside coordinate vectors of larger
+surfaces.
 """
 
 from .annulus import (

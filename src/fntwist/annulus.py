@@ -17,7 +17,7 @@ X4 = [1:x4:inf:0].  Arc 2 is read across the lift with endpoints
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import itemgetter
 
 # Constructor rejects coordinate quadruples whose holonomy trace is within
 # this margin of the parabolic threshold 2.
@@ -49,36 +49,34 @@ def length_trace(x1: float, x2: float):
     return 2.0 * math.acosh(tr / 2.0), tr
 
 
-@dataclass(frozen=True)
-class AnnulusCoords:
-    """Positive cross-ratio coordinates (X1, X2, X3, X4) of the annulus."""
+class AnnulusCoords(tuple):
+    """Cross-ratio coordinates (X1, X2, X3, X4) of the annulus: a validated, frozen 4-tuple."""
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        # object.__setattr__ passes the frozen guard without giving the instance a full __dict__
-        object.__setattr__(self, "x1", _coordinate("X1", self.x1))
-        object.__setattr__(self, "x2", _coordinate("X2", self.x2))
-        object.__setattr__(self, "x3", _coordinate("X3", self.x3))
-        object.__setattr__(self, "x4", _coordinate("X4", self.x4))
-        _hyperbolic_trace(self.x1, self.x2)
+    def __new__(cls, x1, x2, x3, x4):  # each entry becomes a float, checked positive and finite
+        return tuple.__new__(cls, (_coordinate("X1", x1), _coordinate("X2", x2),
+                                   _coordinate("X3", x3), _coordinate("X4", x4)))
+
+    def __init__(self, x1, x2, x3, x4):  # the trace check; its own __init__, which tracers wrap
+        _hyperbolic_trace(self[0], self[1])
+
+    x1, x2, x3, x4 = (property(itemgetter(i)) for i in range(4))
+
+    def __repr__(self):
+        return "AnnulusCoords(x1=%r, x2=%r, x3=%r, x4=%r)" % self
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return AnnulusCoords, tuple(self)
 
     def as_tuple(self):
-        return (self.x1, self.x2, self.x3, self.x4)
+        return tuple(self)
 
 
-def _prevalidated(x1: float, x2: float, x3: float, x4: float) -> AnnulusCoords:
-    """AnnulusCoords of four floats the caller has proved positive and finite."""
-    _hyperbolic_trace(x1, x2)
-    coords = object.__new__(AnnulusCoords)
-    object.__setattr__(coords, "x1", x1)
-    object.__setattr__(coords, "x2", x2)
-    object.__setattr__(coords, "x3", x3)
-    object.__setattr__(coords, "x4", x4)
-    return coords
+def _prevalidated(values) -> AnnulusCoords:
+    """AnnulusCoords of a 4-tuple of floats the caller has proved positive and finite."""
+    _hyperbolic_trace(values[0], values[1])
+    return tuple.__new__(AnnulusCoords, values)
 
 
 def endpoints(coords: AnnulusCoords):
@@ -87,7 +85,7 @@ def endpoints(coords: AnnulusCoords):
     Positive coordinates put them in the order x2 < x1 < x3 < 0 < 1 < x4
     on the real line, up to rounding.
     """
-    x1, x2, x3, x4 = coords.as_tuple()
+    x1, x2, x3, x4 = coords
     return (-x1, -x1 * (x2 + 1.0), -x1 * x3 / (x3 + 1.0), (x4 + 1.0) / x4)
 
 
@@ -98,7 +96,7 @@ def core_geodesic(coords: AnnulusCoords):
     larger-magnitude root first and the companion via the product of roots
     -X1, so no cancellation occurs.
     """
-    x1, x2 = coords.x1, coords.x2
+    x1, x2, _, _ = coords
     length, tr = length_trace(x1, x2)
     lin = x1 * (x2 + 1.0) - 1.0
     disc = (x1 * (x2 + 1.0) + 1.0) ** 2 - 4.0 * x1 * x2

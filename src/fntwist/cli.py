@@ -93,8 +93,8 @@ def _rel_err(a: float, b: float) -> float:
 
 
 def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
-    return max(_rel_err(a.x1, b.x1), _rel_err(a.x2, b.x2),
-               _rel_err(a.x3, b.x3), _rel_err(a.x4, b.x4))
+    return max(_rel_err(a[0], b[0]), _rel_err(a[1], b[1]),
+               _rel_err(a[2], b[2]), _rel_err(a[3], b[3]))
 
 
 # ---------------------------------------------------------------- twist/dehn
@@ -104,7 +104,7 @@ def _quadruple_report(coords, result, input_fields, fmt, out):
     if fmt == "csv":
         lines = [
             "X1,X2,X3,X4,L,trace",
-            ",".join(f"{v:.17g}" for v in result.as_tuple() + (length, trace)),
+            ",".join(f"{v:.17g}" for v in (*result, length, trace)),
         ]
         _write_text("\n".join(lines) + "\n", out)
     else:
@@ -112,7 +112,7 @@ def _quadruple_report(coords, result, input_fields, fmt, out):
             "input": input_fields,
             "L": length,
             "trace": trace,
-            "output": list(result.as_tuple()),
+            "output": list(result),
         }
         _write_text(json.dumps(payload, indent=2) + "\n", out)
     return 0
@@ -121,14 +121,14 @@ def _quadruple_report(coords, result, input_fields, fmt, out):
 def cmd_twist(args) -> int:
     coords = parse_coords(args.coords)
     result = twist_p_form(coords, args.t)
-    fields = {"coords": list(coords.as_tuple()), "t": args.t}
+    fields = {"coords": list(coords), "t": args.t}
     return _quadruple_report(coords, result, fields, args.format or "json", args.out)
 
 
 def cmd_dehn(args) -> int:
     coords = parse_coords(args.coords)
     result = dehn_twist(coords, args.m)
-    fields = {"coords": list(coords.as_tuple()), "m": args.m}
+    fields = {"coords": list(coords), "m": args.m}
     return _quadruple_report(coords, result, fields, args.format or "json", args.out)
 
 
@@ -158,7 +158,7 @@ def format_csv(samples) -> str:
 def format_flow_json(coords, t_max, steps, samples) -> str:
     length, trace, _, _ = core_geodesic(coords)
     head = json.dumps({
-        "input": {"coords": list(coords.as_tuple()), "t_max": t_max, "steps": steps},
+        "input": {"coords": list(coords), "t_max": t_max, "steps": steps},
         "invariants": {"L": length, "trace": trace},
     }, indent=2)
     rows = ",\n".join([_JSON_SAMPLE % s for s in samples])
@@ -261,7 +261,7 @@ def cmd_flow(args) -> int:
     length = core_geodesic(coords)[0]
     if args.t * length > MAX_TWIST_LENGTH:
         raise TwistRangeError(f"--t {args.t!r} times L = {length!r} exceeds {MAX_TWIST_LENGTH} "
-                              f"for coords {coords.as_tuple()}; the flow is not representable")
+                              f"for coords {tuple(coords)}; the flow is not representable")
     samples = sample_flow(coords, args.t, args.steps)
     fmt = args.format or "csv"
     if fmt == "csv":
@@ -275,61 +275,51 @@ def cmd_flow(args) -> int:
 
 # --------------------------------------------------------------------- verify
 
+def _oracle_equivalence(coords, rng):
+    t = rng.uniform(0.0, 3.0)
+    a, b, c = twist_closed_form(coords, t), twist_p_form(coords, t), twist_oracle(coords, t)
+    return max(_max_rel(a, b), _max_rel(b, c), _max_rel(a, c))
+
+
+def _flow_additivity(coords, rng):
+    s = rng.uniform(0.0, 2.0)
+    t = rng.uniform(0.0, 2.0)
+    return _max_rel(twist_p_form(twist_p_form(coords, s), t), twist_p_form(coords, s + t))
+
+
+def _trace_invariance(coords, rng):
+    moved = twist_p_form(coords, rng.uniform(0.0, 3.0))
+    return _rel_err(length_trace(coords[0], coords[1])[1], length_trace(moved[0], moved[1])[1])
+
+
+def _dehn_compatibility(coords, rng):
+    return max(_max_rel(dehn_twist(coords, m), twist_closed_form(coords, float(m)))
+               for m in (1, 2, 3))
+
+
+def _endpoint_round_trip(coords, rng):
+    return _max_rel(coords_from_endpoints(endpoints(coords)), coords)
+
+
+# suite name -> error of one sample, given its coordinates and the generator for any further draws
+_SUITES = {
+    "oracle-equivalence": _oracle_equivalence,
+    "flow-additivity": _flow_additivity,
+    "trace-invariance": _trace_invariance,
+    "dehn-compatibility": _dehn_compatibility,
+    "endpoint-round-trip": _endpoint_round_trip,
+}
+
+
 def run_verify_suites(samples: int, seed: int):
     """Max relative error of each randomized suite; every suite re-seeds."""
     results = {}
-
-    rng = Lcg(seed)
-    worst = 0.0
-    for _ in range(samples):
-        coords = random_coords(rng)
-        t = rng.uniform(0.0, 3.0)
-        a = twist_closed_form(coords, t)
-        b = twist_p_form(coords, t)
-        c = twist_oracle(coords, t)
-        worst = max(worst, _max_rel(a, b), _max_rel(b, c), _max_rel(a, c))
-    results["oracle-equivalence"] = worst
-
-    rng = Lcg(seed)
-    worst = 0.0
-    for _ in range(samples):
-        coords = random_coords(rng)
-        s = rng.uniform(0.0, 2.0)
-        t = rng.uniform(0.0, 2.0)
-        two_step = twist_p_form(twist_p_form(coords, s), t)
-        one_step = twist_p_form(coords, s + t)
-        worst = max(worst, _max_rel(two_step, one_step))
-    results["flow-additivity"] = worst
-
-    rng = Lcg(seed)
-    worst = 0.0
-    for _ in range(samples):
-        coords = random_coords(rng)
-        t = rng.uniform(0.0, 3.0)
-        moved = twist_p_form(coords, t)
-        worst = max(
-            worst,
-            _rel_err(core_geodesic(coords)[1], core_geodesic(moved)[1]),
-        )
-    results["trace-invariance"] = worst
-
-    rng = Lcg(seed)
-    worst = 0.0
-    for _ in range(samples):
-        coords = random_coords(rng)
-        for m in (1, 2, 3):
-            worst = max(
-                worst, _max_rel(dehn_twist(coords, m), twist_closed_form(coords, float(m)))
-            )
-    results["dehn-compatibility"] = worst
-
-    rng = Lcg(seed)
-    worst = 0.0
-    for _ in range(samples):
-        coords = random_coords(rng)
-        worst = max(worst, _max_rel(coords_from_endpoints(endpoints(coords)), coords))
-    results["endpoint-round-trip"] = worst
-
+    for name, error in _SUITES.items():
+        rng = Lcg(seed)
+        worst = 0.0
+        for _ in range(samples):
+            worst = max(worst, error(random_coords(rng), rng))
+        results[name] = worst
     return results
 
 

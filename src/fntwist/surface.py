@@ -43,11 +43,11 @@ class AnnulusEmbedding:
 
     def __post_init__(self):
         idx = self.as_tuple()
-        if len(set(idx)) != 4:
-            raise ValueError(f"embedding indices must be pairwise distinct, got {idx}")
-        for i in idx:
+        for i in idx:  # before the distinctness test, which would hash lists and equate 1 == 1.0
             if not isinstance(i, int) or isinstance(i, bool) or i < 1:
                 raise ValueError(f"embedding indices must be integers >= 1, got {i!r}")
+        if len(set(idx)) != 4:
+            raise ValueError(f"embedding indices must be pairwise distinct, got {idx}")
 
     def as_tuple(self):
         return (self.i1, self.i2, self.i3, self.i4)
@@ -72,6 +72,6 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
     except (ValueError, TwistRangeError) as exc:
         raise type(exc)(f"{exc}; embedding indices {idx}") from None
     out = list(coords.values)
-    for i, v in zip(idx, twisted.as_tuple()):
+    for i, v in zip(idx, twisted):
         out[i - 1] = v
     return _prevalidated(tuple(out))

@@ -35,8 +35,12 @@ class TwistRangeError(OverflowError):
     """Raised when |t| * L is too large for the result to be representable."""
 
 
-def _check_t(t) -> float:
-    t = float(t)
+def _check_t(coords: AnnulusCoords, t) -> float:
+    try:
+        t = float(t)
+    except OverflowError:  # a number past float range, so |t| L is beyond the cap at every L
+        raise _out_of_range(f"|t| is past float range, so |t| * L exceeds {MAX_TWIST_LENGTH}",
+                            coords, "t", t) from None
     if not math.isfinite(t):
         raise ValueError(f"twist parameter must be finite, got {t!r}")
     return t
@@ -49,7 +53,7 @@ def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
     frame, so its axis endpoints are exactly (p1, p2) and its translation
     length is |t| L; at t = 0 it is the identity.
     """
-    t = _check_t(t)
+    t = _check_t(coords, t)
     length, _, p1, p2 = core_geodesic(coords)
     s = t * length
     # normalizer sends p1 to 0 and p2 to infinity; constructor supplies 1/sqrt(p1-p2)
@@ -59,9 +63,24 @@ def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
 
 
 def _out_of_range(why: str, coords: AnnulusCoords, name: str, value) -> TwistRangeError:
+    try:
+        value = repr(value)
+    except ValueError:  # a number past the int-to-str digit limit: give its size instead
+        bits = abs(int(value)).bit_length()
+        value = f"{'-' if value < 0 else ''}<{bits}-bit {type(value).__name__}>"
     return TwistRangeError(
-        f"{why} for coords {coords.as_tuple()}, {name} = {value!r}; result not representable"
+        f"{why} for coords {tuple(coords)}, {name} = {value}; result not representable"
     )
+
+
+def _growth(coords: AnnulusCoords, t: float, length: float):
+    """(e^(t L), False), or (e^(-t L), True) past _SHIFT_THRESHOLD; raises past the |t| L cap."""
+    s = t * length
+    if abs(s) > MAX_TWIST_LENGTH:
+        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
+    if s <= _SHIFT_THRESHOLD:
+        return math.exp(s), False
+    return math.exp(-s), True
 
 
 def _checked(values, coords: AnnulusCoords, name: str, value):
@@ -81,22 +100,17 @@ def twist_from_core(coords: AnnulusCoords, core, t: float):
     once and calls this for every t.  t must already be a finite float.
     """
     length, _, p1, p2 = core
-    s = t * length
-    if abs(s) > MAX_TWIST_LENGTH:
-        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
-    x1, x2, x3, x4 = coords.as_tuple()
+    factor, shifted = _growth(coords, t, length)
+    x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
     # x1 + p2 and p2 are negative, so both gaps are sums of like-signed
     # terms and the evaluation is cancellation-free for every t
-    if s <= _SHIFT_THRESHOLD:
-        factor = math.exp(s)
-        axis_gap = (x1 + p1) * factor - (x1 + p2)
-        edge2_gap = p1 * factor - p2
-    else:
-        # factor e^(t L) out of both gaps so intermediates stay bounded
-        factor = math.exp(-s)
+    if shifted:  # e^(t L) factored out of both gaps so intermediates stay bounded
         axis_gap = (x1 + p1) - (x1 + p2) * factor
         edge2_gap = p1 - p2 * factor
+    else:
+        axis_gap = (x1 + p1) * factor - (x1 + p2)
+        edge2_gap = p1 * factor - p2
     try:
         y1 = x1 * axis_sq * factor / (axis_gap * axis_gap)
         y2 = x2 * edge2_gap * edge2_gap / (axis_sq * factor)
@@ -108,19 +122,17 @@ def twist_from_core(coords: AnnulusCoords, core, t: float):
 
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist by t core lengths, in the axis-endpoint (p1, p2) form."""
-    return _prevalidated(*twist_from_core(coords, core_geodesic(coords), _check_t(t)))
+    return _prevalidated(twist_from_core(coords, core_geodesic(coords), _check_t(coords, t)))
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist by t core lengths, written directly in cosh(L) and e^(+/- L/2)."""
-    t = _check_t(t)
-    x1, x2, x3, x4 = coords.as_tuple()
+    t = _check_t(coords, t)
+    x1, x2, x3, x4 = coords
     r = math.sqrt(x1 * x2)
     tr = (x1 * (x2 + 1.0) + 1.0) / r
     length = 2.0 * math.acosh(tr / 2.0)
-    s = t * length
-    if abs(s) > MAX_TWIST_LENGTH:
-        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
+    factor, shifted = _growth(coords, t, length)
     half_up = math.exp(length / 2.0)
     half_down = math.exp(-length / 2.0)
     scale = 2.0 * (x1 * x2 * math.cosh(length) - 2.0 * r * math.cosh(length / 2.0) + x1 + 1.0)
@@ -128,46 +140,41 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     outer_b = r * half_up - x1 - 1.0
     inner_a = r * half_down - 1.0
     inner_b = r * half_up - 1.0
-    if s <= _SHIFT_THRESHOLD:
-        factor = math.exp(s)
-        outer = outer_a * factor - outer_b
-        inner = inner_a * factor - inner_b
-    else:
-        factor = math.exp(-s)
+    if shifted:
         outer = outer_a - outer_b * factor
         inner = inner_a - inner_b * factor
+    else:
+        outer = outer_a * factor - outer_b
+        inner = inner_a * factor - inner_b
     try:
         y1 = x1 * scale * factor / (outer * outer)
         y2 = x2 * inner * inner / (scale * factor)
     except ZeroDivisionError:  # outer * outer or scale * factor underflowed
         raise _out_of_range("a closed-form denominator vanished", coords, "t", t) from None
     ratio = outer / inner
-    return _prevalidated(*_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
+    return _prevalidated(_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
 
 
 def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     """First-principles twist: move the vertices, re-read the cross ratios.
 
-    Shares with the p-form only (p1, p2, L) from core_geodesic, the |t| L
-    cap and the positive/finite guard; its twist and cross-ratio algebra is
-    its own.  Cross ratios are Mobius invariant, so it reads the endpoint
-    configuration in the axis frame W(v) = (v - p1)/(v - p2), where the twist
-    multiplies W of the moving vertices 0, x1, x3 by e^(t L) and fixes 1, x2,
-    x4 and infinity (W = 1), and evaluates the cross ratios X1 = [0:1:inf:x1],
-    X2 = [x1:0:inf:x2], X3 = [0:inf:x1:x3] and X4 = [1:x4:inf:0].
+    Shares with the p-form only (p1, p2, L) from core_geodesic, _growth
+    (the |t| L cap and the branch at 300) and the positive/finite guard; its
+    twist and cross-ratio algebra is its own.  Cross ratios are Mobius
+    invariant, so it reads the endpoint configuration in the axis frame
+    W(v) = (v - p1)/(v - p2), where the twist multiplies W of the moving
+    vertices 0, x1, x3 by e^(t L) and fixes 1, x2, x4 and infinity (W = 1),
+    and evaluates the cross ratios X1 = [0:1:inf:x1], X2 = [x1:0:inf:x2],
+    X3 = [0:inf:x1:x3] and X4 = [1:x4:inf:0].
     """
-    t = _check_t(t)
+    t = _check_t(coords, t)
     length, _, p1, p2 = core_geodesic(coords)
-    s = t * length
-    if abs(s) > MAX_TWIST_LENGTH:
-        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
-    x1, x2, x3, x4 = coords.as_tuple()
+    factor, shifted = _growth(coords, t, length)
+    x1, x2, x3, x4 = coords
     _, e2, e3, e4 = endpoints(coords)
     width = p1 - p2
-    if s <= _SHIFT_THRESHOLD:
-        moved, fixed = math.exp(s), 1.0
-    else:  # scale the fixed side by e^(-t L) instead, so intermediates stay bounded
-        moved, fixed = 1.0, math.exp(-s)
+    # shifted, the fixed side is scaled by e^(-t L) instead, so intermediates stay bounded
+    moved, fixed = (1.0, factor) if shifted else (factor, 1.0)
     try:  # every gap is a sum of like-signed terms
         # v - p2 for v = 0, 1, x4, x1, x3 (positive) and x2 (negative)
         g0, g_one, g4 = -p2, 1.0 - p2, e4 - p2
@@ -193,7 +200,7 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
         y4 = (m0 - f_one) / (m0 - fixed) * d_inf_4 / d4_one
     except ZeroDivisionError:  # a gap underflowed
         raise _out_of_range("a vertex gap vanished", coords, "t", t) from None
-    return _prevalidated(*_checked((y1, y2, y3, y4), coords, "t", t))
+    return _prevalidated(_checked((y1, y2, y3, y4), coords, "t", t))
 
 
 def _dehn_forward(values):
@@ -220,8 +227,8 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
-    values = coords.as_tuple()
-    length = length_trace(values[0], values[1])[0]
+    values = coords
+    length = length_trace(coords[0], coords[1])[0]
     if abs(m) > MAX_TWIST_LENGTH / length:  # int-float comparison is exact: no overflow for huge m
         raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {length!r})",
                             coords, "m", m)
@@ -231,4 +238,4 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
             values = step(values)
     except ArithmeticError as exc:  # a coordinate reached 0 or overflowed mid-iteration
         raise _out_of_range(f"Dehn iteration raised {type(exc).__name__}", coords, "m", m) from None
-    return _prevalidated(*_checked(values, coords, "m", m))
+    return _prevalidated(_checked(values, coords, "m", m))

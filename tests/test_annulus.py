@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -71,6 +73,40 @@ class TestAnnulusCoords:
     def test_first_invalid_coordinate_is_reported(self):
         with pytest.raises(ValueError, match=r"^coordinate X2 must be finite"):
             AnnulusCoords(1.0, math.inf, -1.0, None)
+
+
+class TestAnnulusCoordsTuple:
+    COORDS = AnnulusCoords(2, 0.5, 3, 0.25)
+
+    def test_is_a_four_tuple_of_floats(self):
+        x1, x2, x3, x4 = self.COORDS
+        assert isinstance(self.COORDS, tuple) and len(self.COORDS) == 4
+        assert (x1, x2, x3, x4) == (2.0, 0.5, 3.0, 0.25)
+        assert self.COORDS == (2.0, 0.5, 3.0, 0.25)
+        assert (self.COORDS.x1, self.COORDS.x2, self.COORDS.x3, self.COORDS.x4) == self.COORDS
+        assert self.COORDS.as_tuple() == self.COORDS and type(self.COORDS.as_tuple()) is tuple
+
+    @pytest.mark.parametrize("name", ["x1", "x4", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.COORDS, name, 1.0)
+        assert self.COORDS == (2.0, 0.5, 3.0, 0.25)
+
+    def test_repr(self):
+        assert repr(self.COORDS) == "AnnulusCoords(x1=2.0, x2=0.5, x3=3.0, x4=0.25)"
+
+    def test_keyword_construction(self):
+        assert AnnulusCoords(x1=2, x2=0.5, x3=3, x4=0.25) == self.COORDS
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trip(self, clone):
+        twin = clone(self.COORDS)
+        assert type(twin) is AnnulusCoords and twin == self.COORDS
+
+    def test_no_unvalidated_constructor(self):
+        assert not hasattr(AnnulusCoords, "_make") and not hasattr(AnnulusCoords, "_replace")
 
 
 class TestEndpoints:

@@ -55,6 +55,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="embedding indices must be integers >= 1, got True"):
             AnnulusEmbedding(True, 2, 3, 4)
 
+    @pytest.mark.parametrize("indices, message", [
+        ((1, 2, 2, 4), "embedding indices must be pairwise distinct, got (1, 2, 2, 4)"),
+        ((0, 1, 2, 3), "embedding indices must be integers >= 1, got 0"),
+        ((True, 2, 3, 4), "embedding indices must be integers >= 1, got True"),
+        (([1], 2, 3, 4), "embedding indices must be integers >= 1, got [1]"),
+        ((1, 1.0, 2, 3), "embedding indices must be integers >= 1, got 1.0"),
+        ((1, True, 2, 3), "embedding indices must be integers >= 1, got True"),
+    ])
+    def test_embedding_index_exact_message(self, indices, message):
+        # the integer check runs first: a list is unhashable, and 1 == 1.0 == True
+        with pytest.raises(ValueError) as info:
+            AnnulusEmbedding(*indices)
+        assert str(info.value) == message
+
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
             apply_local_twist(VECTOR, AnnulusEmbedding(1, 2, 3, 7), 1.0)

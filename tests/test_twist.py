@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,15 @@ class TestTwistRoutes:
     def test_half_parameter_frozen_value(self, twist):
         assert max_rel(twist(UNIT, 0.5), HALF_OF_UNIT) < 1e-10
 
+    @pytest.mark.parametrize("twist, arg", [
+        (twist_p_form, 0.5), (twist_closed_form, 0.5), (twist_oracle, 0.5),
+        (twist_p_form, 400.0 / core_geodesic(UNIT)[0]),  # |t| L = 400: the shifted branch
+        (dehn_twist, 0), (dehn_twist, 2), (dehn_twist, -2),
+    ])
+    def test_returns_annulus_coords(self, twist, arg):
+        result = twist(UNIT, arg)
+        assert type(result) is AnnulusCoords and all(type(v) is float for v in result)
+
     @given(coord_quadruples, st.floats(0.0, 3.0))
     @settings(max_examples=300)
     def test_three_route_equivalence(self, coords, t):
@@ -218,6 +228,18 @@ class TestLargeParameters:
         with pytest.raises(TwistRangeError, match="denominator vanished") as info:
             twist_closed_form(coords, -19.47954048344156)
         assert f"{coords.as_tuple()}, t = -19.47954048344156" in str(info.value)
+
+    @pytest.mark.parametrize("t, shown", [
+        (10**400, repr(10**400)), (-10**400, repr(-10**400)),
+        (10**5000, "<16610-bit int>"), (-Fraction(10**5000), "-<16610-bit Fraction>"),
+    ], ids=["1e400", "-1e400", "1e5000", "-fraction-1e5000"])
+    @pytest.mark.parametrize("twist", [twist_p_form, twist_closed_form, twist_oracle])
+    def test_count_past_float_range_is_a_range_error(self, twist, t, shown):
+        with pytest.raises(TwistRangeError, match=r"^\|t\| is past float range, so \|t\| \* L "
+                                                  r"exceeds 650\.0 for coords "
+                                                  r"\(1\.0, 1\.0, 1\.0, 1\.0\), t = ") as info:
+            twist(UNIT, t)
+        assert f", t = {shown};" in str(info.value)
 
     def test_trace_still_invariant_near_cap(self):
         length = core_geodesic(UNIT)[0]
@@ -312,6 +334,14 @@ class TestDehnTwist:
         with pytest.raises(TwistRangeError, match=r"^\|m\| \* L exceeds 650\.0 ") as info:
             dehn_twist(AnnulusCoords(*coords), m)
         assert f"for coords {coords}, m = {m};" in str(info.value)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_count_past_digit_limit_gives_its_size(self, sign):
+        # repr of 10**5000 exceeds the int-to-str digit limit, so the message gives its bits
+        with pytest.raises(TwistRangeError, match=r"^\|m\| \* L exceeds 650\.0 ") as info:
+            dehn_twist(UNIT, sign * 10**5000)
+        size = "<16610-bit int>" if sign > 0 else "-<16610-bit int>"
+        assert f"for coords (1.0, 1.0, 1.0, 1.0), m = {size};" in str(info.value)
 
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):

@@ -38,9 +38,7 @@ def rel_err(a: float, b: float) -> float:
 
 
 def max_rel(a, b) -> float:
-    ta = a.as_tuple() if isinstance(a, AnnulusCoords) else tuple(a)
-    tb = b.as_tuple() if isinstance(b, AnnulusCoords) else tuple(b)
-    return max(rel_err(u, v) for u, v in zip(ta, tb))
+    return max(rel_err(u, v) for u, v in zip(a, b))
 
 
 def holonomy_f2(coords: AnnulusCoords) -> MobiusMap:
