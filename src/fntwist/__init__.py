@@ -17,11 +17,9 @@ from .annulus import (
     endpoints,
 )
 from .mobius import (
-    INFINITY,
     DegenerateCrossRatioError,
     MobiusMap,
     NonHyperbolicError,
-    ProjectivePoint,
     cross_ratio,
 )
 from .sampling import Lcg, random_coords
@@ -41,11 +39,9 @@ __all__ = [
     "AnnulusCoords",
     "AnnulusEmbedding",
     "DegenerateCrossRatioError",
-    "INFINITY",
     "Lcg",
     "MobiusMap",
     "NonHyperbolicError",
-    "ProjectivePoint",
     "SurfaceCoords",
     "TwistRangeError",
     "apply_local_twist",

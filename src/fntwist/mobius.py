@@ -1,19 +1,19 @@
 """Exact-semantics algebra on the boundary circle R u {inf} and in PSL(2,R).
 
-Points of the circle at infinity are tagged values (finite real or the
-point at infinity), never large floats.  Mobius maps are stored as a
-canonical determinant-one representative so that projectively equal
-matrices compare equal.
+A point of the circle is a float.  An infinite float of either sign is
+the one point at infinity: every function tests for it before doing any
+arithmetic, and apply and fixed_points return it as math.inf.  Mobius
+maps are stored as a canonical determinant-one representative so that
+projectively equal matrices compare equal.
 """
 
 from __future__ import annotations
 
 import math
 
-# Default comparison tolerances for points and matrix entries; every
-# comparison helper also accepts explicit overrides.
+# Default relative tolerance for comparing matrix entries; isclose also
+# accepts explicit overrides.
 REL_TOL = 1e-9
-ABS_TOL = 1e-9
 
 # Below this |c| a normalized map is treated as upper triangular and gets
 # the infinity-fixed-point branch; the quadratic formula would divide by c.
@@ -28,53 +28,6 @@ class NonHyperbolicError(ValueError):
     """Raised when a hyperbolic-only quantity is requested of a map with |tr| <= 2."""
 
 
-class ProjectivePoint:
-    """A point of the boundary circle: a finite real or the point at infinity.
-
-    ``ProjectivePoint(x)`` with finite ``x`` is the real point ``x``;
-    ``ProjectivePoint()`` (or passing ``math.inf``) is the point at infinity.
-    NaN is rejected.  Instances are immutable by convention.
-    """
-
-    def __init__(self, value=None):
-        if value is None or (isinstance(value, float) and math.isinf(value)):
-            self.is_infinite = True
-            self.value = None
-            return
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError("finite projective point must have a finite value")
-        self.is_infinite = False
-        self.value = v
-
-    def isclose(self, other, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-        """Equality up to tolerance: exact on the infinity flag, fuzzy on values."""
-        other = as_point(other)
-        if self.is_infinite or other.is_infinite:
-            return self.is_infinite and other.is_infinite
-        return math.isclose(self.value, other.value, rel_tol=rel_tol, abs_tol=abs_tol)
-
-    def __eq__(self, other):
-        try:
-            other = as_point(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.isclose(other)
-
-    def __repr__(self):
-        return "ProjectivePoint(inf)" if self.is_infinite else f"ProjectivePoint({self.value!r})"
-
-
-INFINITY = ProjectivePoint()
-
-
-def as_point(p) -> ProjectivePoint:
-    """Coerce a number (or an existing point) to a ProjectivePoint."""
-    if isinstance(p, ProjectivePoint):
-        return p
-    return ProjectivePoint(p)
-
-
 def cross_ratio(x, y, z, w) -> float:
     """Cross ratio [x:y:z:w] = (w-x)/(w-z) * (z-y)/(y-x) of four boundary points.
 
@@ -83,32 +36,31 @@ def cross_ratio(x, y, z, w) -> float:
     evaluated, so no arithmetic with infinities ever happens.
 
     Raises DegenerateCrossRatioError if two of the points coincide exactly
-    or the result is not a finite nonzero real.
+    or the result is not a finite nonzero real, as for a NaN point.
     """
-    pts = [as_point(x), as_point(y), as_point(z), as_point(w)]
+    pts = [float(x), float(y), float(z), float(w)]
     for i in range(4):
         for j in range(i + 1, 4):
             a, b = pts[i], pts[j]
-            if a.is_infinite and b.is_infinite:
+            if math.isinf(a) and math.isinf(b):
                 raise DegenerateCrossRatioError("two of the four points are at infinity")
-            if not a.is_infinite and not b.is_infinite and a.value == b.value:
+            if a == b:
                 raise DegenerateCrossRatioError(
-                    f"coincident points at positions {i} and {j} (value {a.value})"
+                    f"coincident points at positions {i} and {j} (value {a})"
                 )
     px, py, pz, pw = pts
-    if px.is_infinite:
-        r = (pz.value - py.value) / (pw.value - pz.value)
-    elif py.is_infinite:
-        r = -(pw.value - px.value) / (pw.value - pz.value)
-    elif pz.is_infinite:
-        r = -(pw.value - px.value) / (py.value - px.value)
-    elif pw.is_infinite:
-        r = (pz.value - py.value) / (py.value - px.value)
+    if math.isinf(px):
+        r = (pz - py) / (pw - pz)
+    elif math.isinf(py):
+        r = -(pw - px) / (pw - pz)
+    elif math.isinf(pz):
+        r = -(pw - px) / (py - px)
+    elif math.isinf(pw):
+        r = (pz - py) / (py - px)
     else:
-        r = (pw.value - px.value) / (pw.value - pz.value) \
-            * (pz.value - py.value) / (py.value - px.value)
+        r = (pw - px) / (pw - pz) * (pz - py) / (py - px)
     if not math.isfinite(r) or r == 0.0:
-        raise DegenerateCrossRatioError("cross ratio degenerated to 0 or infinity")
+        raise DegenerateCrossRatioError("cross ratio degenerated to 0, infinity or NaN")
     return r
 
 
@@ -144,23 +96,22 @@ class MobiusMap:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def apply(self, p) -> ProjectivePoint:
+    def apply(self, p) -> float:
         """Fractional linear action; total on the projective line.
 
-        The pole -d/c goes to infinity and infinity goes to a/c (to itself
-        when c = 0).
+        The pole -d/c goes to math.inf and infinity goes to a/c (to itself
+        when c = 0).  A NaN point, or one so large that the numerator and
+        the denominator both overflow, raises ValueError.
         """
-        p = as_point(p)
-        if p.is_infinite:
-            if self.c == 0.0:
-                return INFINITY
-            return ProjectivePoint(self.a / self.c)
-        den = self.c * p.value + self.d
+        if math.isinf(p):
+            return math.inf if self.c == 0.0 else self.a / self.c
+        den = self.c * p + self.d
         if den == 0.0:
-            return INFINITY
-        return ProjectivePoint((self.a * p.value + self.b) / den)
-
-    __call__ = apply
+            return math.inf
+        image = (self.a * p + self.b) / den
+        if math.isnan(image):
+            raise ValueError(f"no image for point {p!r}: it is NaN, or the quotient overflowed")
+        return image
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """Matrix product self * other, so compose(m1, m2) acts as m1 after m2."""
@@ -201,10 +152,10 @@ class MobiusMap:
             raise NonHyperbolicError(f"|trace| = {self.trace_abs()} <= 2, no boundary axis")
         a, b, c, d = self.a, self.b, self.c, self.d
         if abs(c) < _TRIANGULAR_EPS:
-            finite = ProjectivePoint(b / (d - a))
+            finite = b / (d - a)
             if abs(a) > abs(d):
-                return (INFINITY, finite)
-            return (finite, INFINITY)
+                return (math.inf, finite)
+            return (finite, math.inf)
         B = d - a
         disc = B * B + 4.0 * b * c  # equals trace^2 - 4 > 0 for det-one hyperbolic
         sq = math.sqrt(disc)
@@ -215,7 +166,7 @@ class MobiusMap:
             att, rep = r1, r2
         else:
             att, rep = r2, r1
-        return (ProjectivePoint(att), ProjectivePoint(rep))
+        return (att, rep)
 
     def isclose(self, other, rel_tol=REL_TOL, abs_tol=1e-12):
         """Entrywise comparison of the canonical representatives."""

@@ -51,10 +51,12 @@ def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
 
     Conjugates diag(e^(tL/2), e^(-tL/2)) back from the axis-normalizing
     frame, so its axis endpoints are exactly (p1, p2) and its translation
-    length is |t| L; at t = 0 it is the identity.
+    length is |t| L; at t = 0 it is the identity.  Past the |t| L cap it
+    raises TwistRangeError, as the twist routes do.
     """
     t = _check_t(coords, t)
     length, _, p1, p2 = core_geodesic(coords)
+    _growth(coords, t, length)
     s = t * length
     # normalizer sends p1 to 0 and p2 to infinity; constructor supplies 1/sqrt(p1-p2)
     frame = MobiusMap(1.0, -p1, 1.0, -p2)

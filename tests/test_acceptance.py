@@ -7,7 +7,6 @@ so every run checks the identical sample set.
 import math
 
 from fntwist import (
-    INFINITY,
     AnnulusCoords,
     AnnulusEmbedding,
     Lcg,
@@ -150,11 +149,11 @@ def test_criterion_8_cross_ratio_mobius_invariance():
         after = cross_ratio(*(m.apply(p) for p in pts))
         worst = max(worst, rel_err(before, after))
     ok = worst < 1e-10
-    # the tagged infinity point participates in the invariance as well
+    # the point at infinity participates in the invariance as well
     inf_case = rel_err(
-        cross_ratio(-1.0, 0.0, 1.0, INFINITY),
+        cross_ratio(-1.0, 0.0, 1.0, math.inf),
         cross_ratio(*(MobiusMap(2.0, 1.0, 1.0, 1.0).apply(p)
-                      for p in (-1.0, 0.0, 1.0, INFINITY))),
+                      for p in (-1.0, 0.0, 1.0, math.inf))),
     )
     ok = ok and inf_case < 1e-10
     _report(8, ok, f"cross-ratio invariance on 1000 pairs, max rel err {max(worst, inf_case):.3e}")

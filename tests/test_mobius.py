@@ -5,12 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fntwist import (
-    INFINITY,
     AnnulusCoords,
     DegenerateCrossRatioError,
     MobiusMap,
     NonHyperbolicError,
-    ProjectivePoint,
     cross_ratio,
     endpoints,
 )
@@ -54,37 +52,9 @@ def distinct_quadruples(draw):
     return pts
 
 
-class TestProjectivePoint:
-    def test_finite_roundtrip(self):
-        p = ProjectivePoint(2.5)
-        assert not p.is_infinite
-        assert p.value == 2.5
-
-    def test_infinity_tagged(self):
-        assert INFINITY.is_infinite
-        assert ProjectivePoint(math.inf).is_infinite
-        assert ProjectivePoint(-math.inf).is_infinite
-        assert INFINITY.value is None
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            ProjectivePoint(math.nan)
-
-    def test_equality_tolerance(self):
-        assert ProjectivePoint(1.0) == ProjectivePoint(1.0 + 1e-12)
-        assert ProjectivePoint(1.0) != ProjectivePoint(1.0 + 1e-6)
-        assert INFINITY == INFINITY
-        assert INFINITY != ProjectivePoint(1e300)
-        assert ProjectivePoint(0.0) == ProjectivePoint(1e-12)
-
-    def test_isclose_configurable(self):
-        assert ProjectivePoint(1.0).isclose(ProjectivePoint(1.001), rel_tol=1e-2)
-        assert not ProjectivePoint(1.0).isclose(ProjectivePoint(1.001), rel_tol=1e-6)
-
-
 class TestCrossRatio:
     def test_infinity_limit(self):
-        assert cross_ratio(-1.0, 0.0, 1.0, INFINITY) == pytest.approx(1.0)
+        assert cross_ratio(-1.0, 0.0, 1.0, math.inf) == pytest.approx(1.0)
 
     def test_finite_example(self):
         assert cross_ratio(0.0, 1.0, 2.0, 3.0) == pytest.approx(3.0)
@@ -92,16 +62,16 @@ class TestCrossRatio:
     def test_arc_one_quadruple(self):
         # quadruple of the arc-1 quadrilateral: recovers X1 = 1
         x1 = endpoints(AnnulusCoords(1, 1, 1, 1))[0]
-        value = cross_ratio(0.0, 1.0, INFINITY, x1)
+        value = cross_ratio(0.0, 1.0, math.inf, x1)
         assert value == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3])
     def test_single_infinity_anywhere(self, position):
-        # the tagged-infinity value is the limit of pushing that point out far
+        # the value at infinity is the limit of pushing that point out far
         pts = [-2.0, -0.5, 1.0, 3.0]
         pts[position] = 1e9
         near = cross_ratio(*pts)
-        pts[position] = INFINITY
+        pts[position] = math.inf
         limit = cross_ratio(*pts)
         assert rel_err(near, limit) < 1e-6
 
@@ -109,7 +79,26 @@ class TestCrossRatio:
         with pytest.raises(DegenerateCrossRatioError):
             cross_ratio(0.0, 0.0, 1.0, 2.0)
         with pytest.raises(DegenerateCrossRatioError):
-            cross_ratio(INFINITY, 0.0, 1.0, INFINITY)
+            cross_ratio(math.inf, 0.0, 1.0, math.inf)
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_infinity_of_either_sign_is_one_point(self, position):
+        pts = [-2.0, -0.5, 1.0, 3.0]
+        pts[position] = -math.inf
+        below = cross_ratio(*pts)
+        pts[position] = math.inf
+        assert below == cross_ratio(*pts)
+        # so two infinities of opposite sign coincide
+        pts[(position + 1) % 4] = -math.inf
+        with pytest.raises(DegenerateCrossRatioError, match="two of the four points are at infinity"):
+            cross_ratio(*pts)
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_nan_point_raises(self, position):
+        pts = [-2.0, -0.5, 1.0, math.inf]
+        pts[position] = math.nan
+        with pytest.raises(DegenerateCrossRatioError, match="NaN"):
+            cross_ratio(*pts)
 
     @given(distinct_quadruples(), mobius_maps())
     def test_mobius_invariance(self, pts, m):
@@ -121,19 +110,29 @@ class TestCrossRatio:
 
 class TestMobiusMap:
     def test_identity_apply(self):
-        assert MobiusMap.identity().apply(2.5) == ProjectivePoint(2.5)
+        assert math.isclose(MobiusMap.identity().apply(2.5), 2.5, rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError):
+            MobiusMap.identity().apply(math.nan)
+        with pytest.raises(ValueError):  # numerator and denominator both overflow
+            MobiusMap(2.0, 0.0, 2.0, 1.0).apply(1.5e308)
 
     def test_holonomy_pinned_points(self):
         m = holonomy_f2(AnnulusCoords(1, 1, 1, 1))
-        assert m.apply(0.0) == ProjectivePoint(-1.0)
-        assert m.apply(1.0) == INFINITY
-        assert m.apply(INFINITY) == ProjectivePoint(-2.0)
+        assert math.isclose(m.apply(0.0), -1.0, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isinf(m.apply(1.0))
+        assert math.isclose(m.apply(math.inf), -2.0, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_pole_and_infinity(self):
         m = MobiusMap(1.0, 2.0, 1.0, 3.0)
-        assert m.apply(-3.0) == INFINITY  # the pole -d/c
-        assert m.apply(INFINITY) == ProjectivePoint(1.0)  # a/c
-        assert MobiusMap(2.0, 1.0, 0.0, 0.5).apply(INFINITY) == INFINITY
+        assert math.isinf(m.apply(-3.0))  # the pole -d/c
+        assert math.isclose(m.apply(math.inf), 1.0, rel_tol=1e-9, abs_tol=1e-9)  # a/c
+        assert math.isinf(MobiusMap(2.0, 1.0, 0.0, 0.5).apply(math.inf))
+
+    def test_infinity_of_either_sign_is_one_point(self):
+        for m in (MobiusMap(1.0, 2.0, 1.0, 3.0), MobiusMap(2.0, 1.0, 0.0, 0.5)):
+            assert m.apply(-math.inf) == m.apply(math.inf)
 
     def test_nonpositive_determinant_rejected(self):
         with pytest.raises(ValueError):
@@ -178,37 +177,35 @@ class TestMobiusMap:
 
     def test_fixed_points_diagonal(self):
         att, rep = MobiusMap(2.0, 0.0, 0.0, 0.5).fixed_points()
-        assert att == INFINITY
-        assert rep == ProjectivePoint(0.0)
+        assert math.isinf(att)
+        assert math.isclose(rep, 0.0, rel_tol=1e-9, abs_tol=1e-9)
         att, rep = MobiusMap(0.5, 0.0, 0.0, 2.0).fixed_points()
-        assert att == ProjectivePoint(0.0)
-        assert rep == INFINITY
+        assert math.isclose(att, 0.0, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isinf(rep)
 
     def test_fixed_points_holonomy(self):
         att, rep = holonomy_f2(AnnulusCoords(1, 1, 1, 1)).fixed_points()
-        assert att == ProjectivePoint(-GOLDEN - 1.0)  # -(sqrt5+1)/2
-        assert rep == ProjectivePoint(GOLDEN)
+        assert math.isclose(att, -GOLDEN - 1.0, rel_tol=1e-9, abs_tol=1e-9)  # -(sqrt5+1)/2
+        assert math.isclose(rep, GOLDEN, rel_tol=1e-9, abs_tol=1e-9)
 
     @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
     def test_fixed_point_product(self, x1, x2):
         att, rep = holonomy_f2(AnnulusCoords(x1, x2, 1, 1)).fixed_points()
-        assert rel_err(att.value * rep.value, -x1) < 1e-10
+        assert rel_err(att * rep, -x1) < 1e-10
 
     @given(hyperbolic_maps())
     @settings(max_examples=200)
     def test_fixed_points_are_fixed(self, m):
         for p in m.fixed_points():
-            q = m.apply(p)
-            assert q.isclose(p, rel_tol=1e-8, abs_tol=1e-8)
+            assert math.isclose(m.apply(p), p, rel_tol=1e-8, abs_tol=1e-8)
 
     @given(mobius_maps(), mobius_maps(), st.floats(-10.0, 10.0))
     def test_projective_identity(self, m1, m2, x):
-        p = ProjectivePoint(x)
-        lhs = m1.compose(m2).apply(p)
-        rhs = m1.apply(m2.apply(p))
-        assume(not lhs.is_infinite and not rhs.is_infinite)
-        assume(abs(lhs.value) < 1e6)
-        assert lhs.isclose(rhs, rel_tol=1e-8, abs_tol=1e-8)
+        lhs = m1.compose(m2).apply(x)
+        rhs = m1.apply(m2.apply(x))
+        assume(not math.isinf(lhs) and not math.isinf(rhs))
+        assume(abs(lhs) < 1e6)
+        assert math.isclose(lhs, rhs, rel_tol=1e-8, abs_tol=1e-8)
 
     @given(hyperbolic_maps(), mobius_maps())
     def test_trace_conjugation_invariant(self, m, g):

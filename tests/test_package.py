@@ -13,3 +13,12 @@ def test_geometry_containers_are_gone():
     # core_geodesic and endpoints return plain tuples; the arc table lives in tests/util.py
     for name in ("ARC_QUADRUPLES", "CoreGeodesic", "EndpointConfig"):
         assert not hasattr(fntwist, name), name
+
+
+def test_boundary_point_type_is_gone():
+    # boundary points are floats, with math.inf as the point at infinity
+    for name in ("ProjectivePoint", "INFINITY"):
+        assert not hasattr(fntwist, name), name
+    for name in ("as_point", "ABS_TOL"):
+        assert not hasattr(fntwist.mobius, name), name
+    assert "__call__" not in vars(fntwist.MobiusMap)

@@ -14,6 +14,18 @@ def test_every_traced_layer_resolves():
         assert callable(getattr(sys.modules[module], attr)), name
 
 
+def test_every_traced_class_defines_its_own_init():
+    # the tracer wraps the __init__ in a class's own dict; an inherited one is not wrapped
+    classes = {}
+    for _, module, attr, _ in load_benchmark_module("tracing").LAYERS:
+        target = getattr(sys.modules[module], attr)
+        if isinstance(target, type):
+            classes[attr] = target
+    assert sorted(classes) == ["AnnulusCoords", "MobiusMap", "SurfaceCoords"]
+    for attr, cls in classes.items():
+        assert "__init__" in vars(cls), attr
+
+
 def test_tracer_counts_annulus_coords_constructions():
     # the tracer wraps a class's own __init__ and rebinds functions in fntwist's
     # modules, so both are looked up through the package after install()

@@ -5,7 +5,7 @@ import json
 import math
 from pathlib import Path
 
-from fntwist import INFINITY, AnnulusCoords, MobiusMap, ProjectivePoint, core_geodesic, cross_ratio
+from fntwist import AnnulusCoords, MobiusMap, core_geodesic, cross_ratio
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -64,9 +64,9 @@ def exponential_fixed_points(coords: AnnulusCoords):
 
 
 def coords_from_endpoints_reference(ends) -> AnnulusCoords:
-    """coords_from_endpoints through cross_ratio on ProjectivePoints, as the library once did."""
-    points = {"zero": ProjectivePoint(0.0), "one": ProjectivePoint(1.0), "inf": INFINITY}
-    points.update((f"x{i}", ProjectivePoint(v)) for i, v in enumerate(ends, start=1))
+    """coords_from_endpoints through cross_ratio, as the library once did."""
+    points = {"zero": 0.0, "one": 1.0, "inf": math.inf}
+    points.update((f"x{i}", v) for i, v in enumerate(ends, start=1))
     return AnnulusCoords(*(cross_ratio(*(points[label] for label in ARC_QUADRUPLES[i]))
                            for i in (1, 2, 3, 4)))
 
