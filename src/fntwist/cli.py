@@ -28,12 +28,14 @@ from .twist import (MAX_TWIST_LENGTH, TwistRangeError, dehn_twist, twist_closed_
 # a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
 # One flow sample as a CSV line and as a JSON object at the indentation
-# json.dumps(indent=2) gives it.  "%r" writes float.__repr__, the text json
-# writes for a finite float; every sample value is finite.
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
-_JSON_SAMPLE = ("    {\n"
-                + ",\n".join(f"      {json.dumps(k)}: %r" for k in CSV_HEADER.split(","))
-                + "\n    }")
+# json.dumps(indent=2) gives it, split after X4.  "%r" writes float.__repr__,
+# the text json writes for a finite float; every sample value is finite.  The
+# flow preserves L and trace, so a trajectory repeats a few (L, trace) pairs
+# while t and X1..X4 change on every row: _Tails formats each pair once.
+_NAMES = CSV_HEADER.split(",")
+_CSV_HEAD, _CSV_TAIL = "%.17g," * 5, "%.17g,%.17g\n"
+_JSON_HEAD = "    {\n" + "".join(f"      {json.dumps(k)}: %r,\n" for k in _NAMES[:5])
+_JSON_TAIL = ",\n".join(f"      {json.dumps(k)}: %r" for k in _NAMES[5:]) + "\n    }"
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -151,8 +153,29 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     return samples
 
 
+class _Tails(dict):
+    """(L, trace) -> template % (L, trace), formatted on first lookup.
+
+    L and trace are positive and finite, so equal keys mean equal text: no -0.0, no NaN.
+    """
+
+    def __init__(self, template):
+        self.template = template
+
+    def __missing__(self, pair):
+        text = self[pair] = self.template % pair
+        return text
+
+
+def _rows(head, tail, samples):
+    """Each sample as head % (t, X1..X4) + tail % (L, trace), the tail once per distinct pair."""
+    tails = _Tails(tail)
+    return [head % (t, x1, x2, x3, x4) + tails[length, trace]
+            for t, x1, x2, x3, x4, length, trace in samples]
+
+
 def format_csv(samples) -> str:
-    return CSV_HEADER + "\n" + "".join([_CSV_ROW % s for s in samples])
+    return CSV_HEADER + "\n" + "".join(_rows(_CSV_HEAD, _CSV_TAIL, samples))
 
 
 def format_flow_json(coords, t_max, steps, samples) -> str:
@@ -161,25 +184,19 @@ def format_flow_json(coords, t_max, steps, samples) -> str:
         "input": {"coords": list(coords), "t_max": t_max, "steps": steps},
         "invariants": {"L": length, "trace": trace},
     }, indent=2)
-    rows = ",\n".join([_JSON_SAMPLE % s for s in samples])
+    rows = ",\n".join(_rows(_JSON_HEAD, _JSON_TAIL, samples))
     # head ends with the closing "\n}"; the samples list goes in before it
     return f'{head[:-2]},\n  "samples": [\n{rows}\n  ]\n}}\n'
 
 
-def _axis_value(sample, axis) -> float:
-    _, index, is_log = axis
-    v = sample[index]  # X1..X4 sit at positions 1..4 of a sample
-    return math.log10(v) if is_log else v
+def _axis_values(samples, axis) -> list:
+    _, index, is_log = axis  # X1..X4 sit at positions 1..4 of a sample
+    return [math.log10(s[index]) for s in samples] if is_log else [s[index] for s in samples]
 
 
 def _scale(lo: float, hi: float):
-    if hi - lo < 1e-12:
-        pad = max(abs(lo) * 0.05, 0.5)
-        lo, hi = lo - pad, hi + pad
-    else:
-        pad = (hi - lo) * 0.05
-        lo, hi = lo - pad, hi + pad
-    return lo, hi
+    pad = max(abs(lo) * 0.05, 0.5) if hi - lo < 1e-12 else (hi - lo) * 0.05
+    return lo - pad, hi + pad
 
 
 def render_svg(curves, proj) -> str:
@@ -188,25 +205,26 @@ def render_svg(curves, proj) -> str:
     curves is a list of (samples, stroke) pairs, drawn in order; the axes
     span every curve.
     """
-    projected = [([_axis_value(s, proj[0]) for s in samples],
-                  [_axis_value(s, proj[1]) for s in samples]) for samples, _ in curves]
+    projected = [(_axis_values(samples, proj[0]), _axis_values(samples, proj[1]))
+                 for samples, _ in curves]
     x_lo, x_hi = _scale(min(min(xs) for xs, _ in projected), max(max(xs) for xs, _ in projected))
     y_lo, y_hi = _scale(min(min(ys) for _, ys in projected), max(max(ys) for _, ys in projected))
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    axis_y = _MARGIN_TOP + plot_h
 
     def sx(v):
-        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (v - x_lo) / x_span * plot_w
 
     def sy(v):
-        return _MARGIN_TOP + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+        return axis_y - (v - y_lo) / y_span * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
-    axis_y = _MARGIN_TOP + plot_h
     parts.append(
         f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + plot_w}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
@@ -216,10 +234,8 @@ def render_svg(curves, proj) -> str:
         'stroke="black" stroke-width="1"/>'
     )
     for frac in (0.0, 0.5, 1.0):
-        vx = x_lo + frac * (x_hi - x_lo)
-        vy = y_lo + frac * (y_hi - y_lo)
-        px = sx(vx)
-        py = sy(vy)
+        vx, vy = x_lo + frac * x_span, y_lo + frac * y_span
+        px, py = sx(vx), sy(vy)
         parts.append(
             f'<text x="{px:.1f}" y="{axis_y + 18:.1f}" font-size="11" '
             f'text-anchor="middle">{vx:.3g}</text>'
@@ -237,7 +253,10 @@ def render_svg(curves, proj) -> str:
         f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.1f})">{proj[1][0]}</text>'
     )
     for (samples, stroke), (xs, ys) in zip(curves, projected):
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        # sx and sy written out, one %-format per point
+        points = " ".join(["%.2f,%.2f" % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
+                                          axis_y - (y - y_lo) / y_span * plot_h)
+                           for x, y in zip(xs, ys)])
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )

@@ -10,20 +10,44 @@ taken on trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .annulus import AnnulusCoords, _coordinate
 from .twist import TwistRangeError, twist_p_form
 
 
-@dataclass(frozen=True)
-class SurfaceCoords:
+class _Frozen:
+    """Read-only fields named by __slots__, compared, hashed and shown as a frozen dataclass's."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return type(self), self._fields()
+
+
+class SurfaceCoords(_Frozen):
     """Positive cross-ratio coordinates of a labelled triangulation, indexed 1..n."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        values = tuple(_coordinate(i, v) for i, v in enumerate(self.values, start=1))
+    def __init__(self, values):
+        values = tuple(_coordinate(i, v) for i, v in enumerate(values, start=1))
         object.__setattr__(self, "values", values)
         if len(values) < 4:
             raise ValueError(f"need at least 4 coordinates, got {len(values)}")
@@ -32,29 +56,27 @@ class SurfaceCoords:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class AnnulusEmbedding:
+class AnnulusEmbedding(_Frozen):
     """1-based indices of the arcs playing the four annulus roles."""
 
-    i1: int
-    i2: int
-    i3: int
-    i4: int
+    __slots__ = ("i1", "i2", "i3", "i4")
 
-    def __post_init__(self):
-        idx = self.as_tuple()
+    def __init__(self, i1, i2, i3, i4):
+        idx = (i1, i2, i3, i4)
         for i in idx:  # before the distinctness test, which would hash lists and equate 1 == 1.0
             if not isinstance(i, int) or isinstance(i, bool) or i < 1:
                 raise ValueError(f"embedding indices must be integers >= 1, got {i!r}")
         if len(set(idx)) != 4:
             raise ValueError(f"embedding indices must be pairwise distinct, got {idx}")
+        for name, i in zip(self.__slots__, idx):
+            object.__setattr__(self, name, i)
 
     def as_tuple(self):
         return (self.i1, self.i2, self.i3, self.i4)
 
 
 def _prevalidated(values: tuple) -> SurfaceCoords:
-    coords = object.__new__(SurfaceCoords)  # the caller's entries already pass __post_init__
+    coords = object.__new__(SurfaceCoords)  # the caller's entries already pass __init__'s checks
     object.__setattr__(coords, "values", values)
     return coords
 

@@ -7,12 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fntwist import cli
 from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
                          sample_flow)
 from fntwist import AnnulusCoords, core_geodesic, twist_p_form
-from util import format_csv_reference, format_flow_json_reference, rel_err
+from util import (first_difference, format_csv_reference, format_flow_json_reference,
+                  rel_err, svg_points_reference)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -231,6 +234,41 @@ class TestFlowAcrossShiftedBranch:
         assert format_csv(samples) == format_csv_reference(samples)
         assert (format_flow_json(self.START, self.T_MAX, self.STEPS, samples)
                 == format_flow_json_reference(self.START, self.T_MAX, self.STEPS, samples))
+
+    @pytest.mark.parametrize("proj", ["logX1,logX2", "X3,X4"])
+    def test_svg_points_equal_per_point_reference(self, samples, proj):
+        axes = parse_projection(proj)
+        text = render_svg([(samples, "magenta")], axes)
+        points = re.findall(r'<polyline points="([^"]*)"', text)
+        assert points == [svg_points_reference(samples, axes)]
+
+
+# (L, trace) pairs for drawn rows: positive finite floats, each also one ulp off in L or trace
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_PAIRS = st.lists(st.tuples(_POSITIVE, _POSITIVE), min_size=1, max_size=4).map(
+    lambda pairs: pairs + [(math.nextafter(a, 1.0), b) for a, b in pairs]
+    + [(a, math.nextafter(b, 1.0)) for a, b in pairs])
+
+
+class TestFormatterBytes:
+    # format_csv and format_flow_json format each distinct (L, trace) pair once and reuse it
+    START = AnnulusCoords(1, 1, 1, 1)
+
+    def test_long_flow_equals_reference_bytes(self):
+        samples = sample_flow(self.START, 1.0, 20000)
+        assert len({s[3:5] for s in samples}) > 19000  # X3, X4 move on every row here
+        assert first_difference(format_csv(samples), format_csv_reference(samples)) is None
+        assert first_difference(format_flow_json(self.START, 1.0, 20000, samples),
+                                format_flow_json_reference(self.START, 1.0, 20000, samples)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PAIRS, st.lists(st.tuples(*[_POSITIVE] * 5), min_size=1, max_size=40),
+           st.lists(st.integers(0, 11), min_size=40, max_size=40))
+    def test_recurring_pairs_equal_reference_bytes(self, pairs, heads, picks):
+        rows = [head + pairs[k % len(pairs)] for head, k in zip(heads, picks)]
+        assert format_csv(rows) == format_csv_reference(rows)
+        assert (format_flow_json(self.START, 2.0, len(rows), rows)
+                == format_flow_json_reference(self.START, 2.0, len(rows), rows))
 
 
 class TestDrawFlowScript:

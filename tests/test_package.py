@@ -1,4 +1,8 @@
-"""The package's exported names."""
+"""The package's exported names and what importing it costs."""
+
+import os
+import subprocess
+import sys
 
 import fntwist
 
@@ -22,3 +26,13 @@ def test_boundary_point_type_is_gone():
     for name in ("as_point", "ABS_TOL"):
         assert not hasattr(fntwist.mobius, name), name
     assert "__call__" not in vars(fntwist.MobiusMap)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # each CLI process pays for what `import fntwist.cli` pulls in
+    code = ("import sys, fntwist.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[]\n"

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -98,12 +99,48 @@ class TestValidation:
         assert vec.values == values and vec == SurfaceCoords(values)
 
 
+
+class TestValueSemantics:
+    # plain __slots__ classes that behave as the frozen dataclasses they replaced
+    def test_surface_coords_equality_hash_and_repr(self):
+        a, b = SurfaceCoords((1, 2.5, 3, 4)), SurfaceCoords((1.0, 2.5, 3.0, 4.0))
+        assert a == b and hash(a) == hash(b) == hash(((1.0, 2.5, 3.0, 4.0),))
+        assert a != SurfaceCoords((1.0, 2.5, 3.0, 5.0))
+        assert a != (1.0, 2.5, 3.0, 4.0) and a != FRONT
+        assert repr(a) == "SurfaceCoords(values=(1.0, 2.5, 3.0, 4.0))"
+        assert len({a, b}) == 1
+
+    def test_annulus_embedding_equality_hash_and_repr(self):
+        emb = AnnulusEmbedding(2, 5, 1, 6)
+        assert emb == AnnulusEmbedding(i1=2, i2=5, i3=1, i4=6)
+        assert emb != AnnulusEmbedding(2, 5, 6, 1) and emb != (2, 5, 1, 6)
+        assert hash(emb) == hash((2, 5, 1, 6))
+        assert repr(emb) == "AnnulusEmbedding(i1=2, i2=5, i3=1, i4=6)"
+        assert emb.as_tuple() == (2, 5, 1, 6)
+
+    @pytest.mark.parametrize("obj, name", [
+        (VECTOR, "values"), (VECTOR, "extra"), (FRONT, "i1"), (FRONT, "extra"),
+    ])
+    def test_attributes_are_read_only(self, obj, name):
+        before = repr(obj)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert repr(obj) == before
+
+    @pytest.mark.parametrize("obj", [VECTOR, FRONT])
+    def test_copy_and_pickle_round_trip(self, obj):
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj) and clone == obj
+
+
 class TestApplyLocalTwist:
     def test_result_is_a_valid_frozen_surface_coords(self):
         out = apply_local_twist(VECTOR, AnnulusEmbedding(2, 5, 1, 6), 0.6)
         assert out == SurfaceCoords(out.values)
         assert type(out.values) is tuple and all(type(v) is float for v in out.values)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             out.values = VECTOR.values
 
     def test_zero_twist_unchanged(self):

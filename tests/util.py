@@ -91,3 +91,38 @@ def format_flow_json_reference(coords, t_max, steps, samples) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def svg_points_reference(samples, proj) -> str:
+    """Polyline points of one curve, one f-string per point, as render_svg once wrote them."""
+    def axis(sample, ax):
+        v = sample[ax[1]]
+        return math.log10(v) if ax[2] else v
+
+    def scale(lo, hi):
+        pad = max(abs(lo) * 0.05, 0.5) if hi - lo < 1e-12 else (hi - lo) * 0.05
+        return lo - pad, hi + pad
+
+    xs = [axis(s, proj[0]) for s in samples]
+    ys = [axis(s, proj[1]) for s in samples]
+    (x_lo, x_hi), (y_lo, y_hi) = scale(min(xs), max(xs)), scale(min(ys), max(ys))
+
+    def sx(v):
+        return 70 + (v - x_lo) / (x_hi - x_lo) * (800 - 70 - 25)
+
+    def sy(v):
+        return 25 + (600 - 25 - 55) - (v - y_lo) / (y_hi - y_lo) * (600 - 25 - 55)
+
+    return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else (line index, got line, wanted line) of the first difference.
+
+    A failure report for megabyte outputs that needs no full diff.
+    """
+    if got == want:
+        return None
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[i] if i < len(a) else None, b[i] if i < len(b) else None
