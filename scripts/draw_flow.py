@@ -3,14 +3,18 @@
 
 Writes one SVG with all curves in the (log X1, log X2) plane plus a CSV per
 curve, and prints the observed trace drift along each trajectory (which
-should sit at rounding level, the trace being a flow invariant).
+should sit at rounding level, the trace being a flow invariant).  Every
+curve is sampled before any file is written; a span past the |t| L cap
+exits with status 1 and one ``error:`` line, as ``fntwist`` does.
 
 Usage:
     python scripts/draw_flow.py --out flow_out --t 2.0 --steps 200
 """
 
 import argparse
+import math
 import os
+import sys
 
 from fntwist import AnnulusCoords, core_geodesic
 from fntwist.cli import format_csv, parse_projection, render_svg, sample_flow
@@ -32,17 +36,25 @@ def main():
     ap.add_argument("--t", type=float, default=2.0, help="flow span in core lengths")
     ap.add_argument("--steps", type=int, default=200)
     args = ap.parse_args()
+    if args.steps < 1:
+        ap.error(f"argument --steps: must be at least 1, got {args.steps}")
+    if not math.isfinite(args.t):
+        ap.error(f"argument --t: must be finite, got {args.t}")
+
+    try:
+        flows = [sample_flow(AnnulusCoords(*start), args.t, args.steps) for start in STARTS]
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     os.makedirs(args.out, exist_ok=True)
     curves = []
-    for start, color in zip(STARTS, PALETTE):
-        coords = AnnulusCoords(*start)
-        samples = sample_flow(coords, args.t, args.steps)
+    for start, samples, color in zip(STARTS, flows, PALETTE):
         csv_path = os.path.join(args.out, "flow_" + "_".join(f"{v:g}" for v in start) + ".csv")
         with open(csv_path, "w", newline="") as fp:
             fp.write(format_csv(samples))
         curves.append((samples, color))
-        trace = core_geodesic(coords)[1]
+        trace = core_geodesic(AnnulusCoords(*start))[1]
         drift = max(abs(s[6] - trace) / trace for s in samples)  # s[6]: trace column
         print(f"start {start}: trace {trace:.6f}, max drift {drift:.3e}, wrote {csv_path}")
 
@@ -50,7 +62,8 @@ def main():
     with open(svg_path, "w", newline="") as fp:
         fp.write(render_svg(curves, parse_projection("logX1,logX2")))
     print(f"wrote {svg_path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -22,8 +22,8 @@ import sys
 
 from .annulus import AnnulusCoords, core_geodesic, coords_from_endpoints, endpoints, length_trace
 from .sampling import Lcg, random_coords
-from .twist import (MAX_TWIST_LENGTH, TwistRangeError, dehn_twist, twist_closed_form,
-                    twist_from_core, twist_oracle, twist_p_form)
+from .twist import (_growth, dehn_twist, twist_closed_form, twist_from_core, twist_oracle,
+                    twist_p_form)
 
 # a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
@@ -101,37 +101,34 @@ def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
 
 # ---------------------------------------------------------------- twist/dehn
 
-def _quadruple_report(coords, result, input_fields, fmt, out):
+def _quadruple_report(args, kernel, name, value):
+    """Write kernel(coords, value) for the parsed --coords, with the core length and trace."""
+    coords = parse_coords(args.coords)
+    result = kernel(coords, value)
     length, trace, _, _ = core_geodesic(coords)
-    if fmt == "csv":
+    if args.format == "csv":
         lines = [
             "X1,X2,X3,X4,L,trace",
             ",".join(f"{v:.17g}" for v in (*result, length, trace)),
         ]
-        _write_text("\n".join(lines) + "\n", out)
+        _write_text("\n".join(lines) + "\n", args.out)
     else:
         payload = {
-            "input": input_fields,
+            "input": {"coords": list(coords), name: value},
             "L": length,
             "trace": trace,
             "output": list(result),
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", out)
+        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_twist(args) -> int:
-    coords = parse_coords(args.coords)
-    result = twist_p_form(coords, args.t)
-    fields = {"coords": list(coords), "t": args.t}
-    return _quadruple_report(coords, result, fields, args.format or "json", args.out)
+    return _quadruple_report(args, twist_p_form, "t", args.t)
 
 
 def cmd_dehn(args) -> int:
-    coords = parse_coords(args.coords)
-    result = dehn_twist(coords, args.m)
-    fields = {"coords": list(coords), "m": args.m}
-    return _quadruple_report(coords, result, fields, args.format or "json", args.out)
+    return _quadruple_report(args, dehn_twist, "m", args.m)
 
 
 # ----------------------------------------------------------------------- flow
@@ -142,9 +139,11 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     The start's invariants (L and the axis endpoints p1, p2) are computed
     once and every sample is twisted from them.  Length and trace are still
     recomputed from each sample's own X1, X2, so the emitted rows exhibit,
-    rather than assume, their invariance.
+    rather than assume, their invariance.  A span whose end is past the
+    |t| L cap raises TwistRangeError before any sample is computed.
     """
     core = core_geodesic(coords)
+    _growth(coords, t_max, core[0])
     samples = []
     for i in range(steps + 1):
         t = i * t_max / steps
@@ -277,13 +276,8 @@ def cmd_flow(args) -> int:
     if not (math.isfinite(args.t) and args.t > 0.0):
         raise UsageError(f"--t must be positive and finite for flow sampling, got {args.t}")
     proj = parse_projection(args.proj)
-    length = core_geodesic(coords)[0]
-    if args.t * length > MAX_TWIST_LENGTH:
-        raise TwistRangeError(f"--t {args.t!r} times L = {length!r} exceeds {MAX_TWIST_LENGTH} "
-                              f"for coords {tuple(coords)}; the flow is not representable")
     samples = sample_flow(coords, args.t, args.steps)
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         _write_text(format_csv(samples), args.out)
     else:
         _write_text(format_flow_json(coords, args.t, args.steps, samples), args.out)
@@ -367,24 +361,24 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fntwist", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_t=True):
+    def add_common(p, default_format, with_t=True):
         p.add_argument("--coords", required=True, help="four comma-separated positive values")
         if with_t:
             p.add_argument("--t", type=float, default=1.0, help="twist parameter in core lengths")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p.add_argument("--format", choices=["csv", "json"], default=default_format)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_twist = sub.add_parser("twist", help="evaluate one twist")
-    add_common(p_twist)
+    add_common(p_twist, "json")
     p_twist.set_defaults(func=cmd_twist)
 
     p_dehn = sub.add_parser("dehn", help="m-fold Dehn twist (rational map)")
-    add_common(p_dehn, with_t=False)
+    add_common(p_dehn, "json", with_t=False)
     p_dehn.add_argument("--m", type=int, default=1, help="twist count, may be negative")
     p_dehn.set_defaults(func=cmd_dehn)
 
     p_flow = sub.add_parser("flow", help="sample the flow on [0, t]")
-    add_common(p_flow)
+    add_common(p_flow, "csv")
     p_flow.add_argument("--steps", type=int, default=100, help="number of intervals (>= 2)")
     p_flow.add_argument("--svg", default=None, help="also render an SVG to this path")
     p_flow.add_argument("--proj", default="logX1,logX2",

@@ -20,6 +20,7 @@ _MULTIPLIER = 6364136223846793005
 _INCREMENT = 1442695040888963407
 _MASK = (1 << 64) - 1
 _SCALE = 1.0 / (1 << 53)
+_LOG_LO, _LOG_HI = math.log(0.1), math.log(10.0)  # random_coords draws in (0.1, 10)
 
 
 class Lcg:
@@ -39,12 +40,11 @@ class Lcg:
         return math.exp(self.uniform(math.log(lo), math.log(hi)))
 
 
-def random_coords(rng: Lcg, lo: float = 0.1, hi: float = 10.0) -> AnnulusCoords:
-    """Four Lcg.log_uniform(lo, hi) draws, in the same float operations, as coordinates."""
-    log_lo, log_hi = math.log(lo), math.log(hi)
+def random_coords(rng: Lcg) -> AnnulusCoords:
+    """Four Lcg.log_uniform(0.1, 10.0) draws, in the same float operations, as coordinates."""
     state, values = rng.state, []
     for _ in range(4):
         state = (_MULTIPLIER * state + _INCREMENT) & _MASK
-        values.append(math.exp(log_lo + (log_hi - log_lo) * ((state >> 11) * _SCALE)))
+        values.append(math.exp(_LOG_LO + (_LOG_HI - _LOG_LO) * ((state >> 11) * _SCALE)))
     rng.state = state
     return AnnulusCoords(*values)

@@ -12,6 +12,9 @@ Three independent routes compute the twisted quadruple:
   w = (p - p1)/(p - p2), where the map is w -> e^(t L) w, and re-reads the
   four cross ratios there.  stratum_map gives the same map as a matrix.
 
+Every route takes e^(t L) from _growth as a scale pair (moved, fixed) with
+moved / fixed = e^(t L) and writes each gap A e^(t L) - B once, as A moved - B fixed.
+
 At integer parameters the flow is a power of the Dehn twist, a rational
 map implemented separately in dehn_twist.  All routes accept negative t;
 positive t twists boundary points toward the negative axis endpoint p2.
@@ -25,8 +28,8 @@ from .annulus import AnnulusCoords, _prevalidated, core_geodesic, endpoints, len
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
-# (X2' grows like e^(t L)); the p-form switches to a shifted-exponent
-# evaluation already at 300 to keep intermediates bounded.
+# (X2' grows like e^(t L)); _growth moves e^(t L) to the fixed side of
+# its scale pair already at 300 to keep intermediates bounded.
 MAX_TWIST_LENGTH = 650.0
 _SHIFT_THRESHOLD = 300.0
 
@@ -76,13 +79,13 @@ def _out_of_range(why: str, coords: AnnulusCoords, name: str, value) -> TwistRan
 
 
 def _growth(coords: AnnulusCoords, t: float, length: float):
-    """(e^(t L), False), or (e^(-t L), True) past _SHIFT_THRESHOLD; raises past the |t| L cap."""
+    """Scale pair (moved, fixed) = (e^(t L), 1.0), or (1.0, e^(-t L)) past _SHIFT_THRESHOLD."""
     s = t * length
     if abs(s) > MAX_TWIST_LENGTH:
         raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
     if s <= _SHIFT_THRESHOLD:
-        return math.exp(s), False
-    return math.exp(-s), True
+        return math.exp(s), 1.0
+    return 1.0, math.exp(-s)
 
 
 def _checked(values, coords: AnnulusCoords, name: str, value):
@@ -102,20 +105,16 @@ def twist_from_core(coords: AnnulusCoords, core, t: float):
     once and calls this for every t.  t must already be a finite float.
     """
     length, _, p1, p2 = core
-    factor, shifted = _growth(coords, t, length)
+    moved, fixed = _growth(coords, t, length)
     x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
     # x1 + p2 and p2 are negative, so both gaps are sums of like-signed
     # terms and the evaluation is cancellation-free for every t
-    if shifted:  # e^(t L) factored out of both gaps so intermediates stay bounded
-        axis_gap = (x1 + p1) - (x1 + p2) * factor
-        edge2_gap = p1 - p2 * factor
-    else:
-        axis_gap = (x1 + p1) * factor - (x1 + p2)
-        edge2_gap = p1 * factor - p2
+    axis_gap = (x1 + p1) * moved - (x1 + p2) * fixed
+    edge2_gap = p1 * moved - p2 * fixed
     try:
-        y1 = x1 * axis_sq * factor / (axis_gap * axis_gap)
-        y2 = x2 * edge2_gap * edge2_gap / (axis_sq * factor)
+        y1 = x1 * axis_sq * moved * fixed / (axis_gap * axis_gap)
+        y2 = x2 * edge2_gap * edge2_gap / (axis_sq * moved * fixed)
     except ZeroDivisionError:  # p1 rounded to 1, so x1 + p2 is 0 and the gap's square underflows
         raise _out_of_range("the axis gap vanished", coords, "t", t) from None
     ratio = axis_gap / edge2_gap
@@ -131,10 +130,9 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist by t core lengths, written directly in cosh(L) and e^(+/- L/2)."""
     t = _check_t(coords, t)
     x1, x2, x3, x4 = coords
+    length = length_trace(x1, x2)[0]
+    moved, fixed = _growth(coords, t, length)
     r = math.sqrt(x1 * x2)
-    tr = (x1 * (x2 + 1.0) + 1.0) / r
-    length = 2.0 * math.acosh(tr / 2.0)
-    factor, shifted = _growth(coords, t, length)
     half_up = math.exp(length / 2.0)
     half_down = math.exp(-length / 2.0)
     scale = 2.0 * (x1 * x2 * math.cosh(length) - 2.0 * r * math.cosh(length / 2.0) + x1 + 1.0)
@@ -142,16 +140,12 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     outer_b = r * half_up - x1 - 1.0
     inner_a = r * half_down - 1.0
     inner_b = r * half_up - 1.0
-    if shifted:
-        outer = outer_a - outer_b * factor
-        inner = inner_a - inner_b * factor
-    else:
-        outer = outer_a * factor - outer_b
-        inner = inner_a * factor - inner_b
+    outer = outer_a * moved - outer_b * fixed
+    inner = inner_a * moved - inner_b * fixed
     try:
-        y1 = x1 * scale * factor / (outer * outer)
-        y2 = x2 * inner * inner / (scale * factor)
-    except ZeroDivisionError:  # outer * outer or scale * factor underflowed
+        y1 = x1 * scale * moved * fixed / (outer * outer)
+        y2 = x2 * inner * inner / (scale * moved * fixed)
+    except ZeroDivisionError:  # outer * outer or scale * moved * fixed underflowed
         raise _out_of_range("a closed-form denominator vanished", coords, "t", t) from None
     ratio = outer / inner
     return _prevalidated(_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
@@ -161,7 +155,7 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     """First-principles twist: move the vertices, re-read the cross ratios.
 
     Shares with the p-form only (p1, p2, L) from core_geodesic, _growth
-    (the |t| L cap and the branch at 300) and the positive/finite guard; its
+    (the |t| L cap and the scale pair) and the positive/finite guard; its
     twist and cross-ratio algebra is its own.  Cross ratios are Mobius
     invariant, so it reads the endpoint configuration in the axis frame
     W(v) = (v - p1)/(v - p2), where the twist multiplies W of the moving
@@ -171,12 +165,10 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     """
     t = _check_t(coords, t)
     length, _, p1, p2 = core_geodesic(coords)
-    factor, shifted = _growth(coords, t, length)
+    moved, fixed = _growth(coords, t, length)  # W of the moving side scales by moved / fixed
     x1, x2, x3, x4 = coords
     _, e2, e3, e4 = endpoints(coords)
     width = p1 - p2
-    # shifted, the fixed side is scaled by e^(-t L) instead, so intermediates stay bounded
-    moved, fixed = (1.0, factor) if shifted else (factor, 1.0)
     try:  # every gap is a sum of like-signed terms
         # v - p2 for v = 0, 1, x4, x1, x3 (positive) and x2 (negative)
         g0, g_one, g4 = -p2, 1.0 - p2, e4 - p2

@@ -249,11 +249,11 @@ class TestCoordsFromEndpoints:
 
 class TestRandomCoords:
     @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**64 - 1])
-    @pytest.mark.parametrize("bounds", [(), (1e-6, 1e6)])
+    @pytest.mark.parametrize("bounds", [(0.1, 10.0)])  # the one range random_coords draws in
     def test_four_log_uniform_draws_exactly(self, seed, bounds):
         rng, expected_rng = Lcg(seed), Lcg(seed)
         for _ in range(50):
-            drawn = random_coords(rng, *bounds)
-            expected = tuple(expected_rng.log_uniform(*(bounds or (0.1, 10.0))) for _ in range(4))
+            drawn = random_coords(rng)
+            expected = tuple(expected_rng.log_uniform(*bounds) for _ in range(4))
             assert drawn.as_tuple() == expected
             assert rng.state == expected_rng.state

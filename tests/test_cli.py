@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fntwist import cli
 from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
                          sample_flow)
-from fntwist import AnnulusCoords, core_geodesic, twist_p_form
+from fntwist import AnnulusCoords, TwistRangeError, core_geodesic, twist_p_form
 from util import (first_difference, format_csv_reference, format_flow_json_reference,
                   rel_err, svg_points_reference)
 
@@ -145,11 +145,12 @@ class TestFlowCommand:
         def unexpected(*_args):
             raise AssertionError("flow sampled a span whose end is out of range")
 
-        monkeypatch.setattr(cli, "sample_flow", unexpected)
+        monkeypatch.setattr(cli, "twist_from_core", unexpected)
         # L = 1.92..., so t L = 770 at the end of the span, above the cap 650
         assert run(["flow", "--coords", "1,1,1,1", "--t", "400"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --t 400.0 ") and "(1.0, 1.0, 1.0, 1.0)" in err
+        assert err.startswith("error: |t| * L = ") and err.count("\n") == 1
+        assert "coords (1.0, 1.0, 1.0, 1.0), t = 400.0;" in err
 
     def test_readme_example_matches_golden_digests(self, tmp_path):
         golden = ROOT / "benchmarks" / "golden_sha256.json"
@@ -207,6 +208,17 @@ class TestFlowCommand:
         assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10",
                     "--out", "/nonexistent-dir/x.csv"]) == 1
         assert capsys.readouterr().err
+
+
+class TestSampleFlow:
+    def test_span_beyond_cap_raises_before_sampling(self, monkeypatch):
+        def unexpected(*_args):
+            raise AssertionError("sample_flow twisted a span whose end is out of range")
+
+        monkeypatch.setattr(cli, "twist_from_core", unexpected)
+        with pytest.raises(TwistRangeError,
+                           match=r"coords \(1\.0, 1\.0, 1\.0, 1\.0\), t = 400\.0;"):
+            sample_flow(AnnulusCoords(1, 1, 1, 1), 400.0, 10)
 
 
 class TestFlowAcrossShiftedBranch:
@@ -272,6 +284,15 @@ class TestFormatterBytes:
 
 
 class TestDrawFlowScript:
+    @staticmethod
+    def load(monkeypatch, *argv):
+        path = ROOT / "scripts" / "draw_flow.py"
+        spec = importlib.util.spec_from_file_location("draw_flow", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), *argv])
+        return script
+
     def test_writes_curves_and_reports_rounding_level_drift(self, tmp_path, capsys, monkeypatch):
         path = ROOT / "scripts" / "draw_flow.py"
         spec = importlib.util.spec_from_file_location("draw_flow", path)
@@ -284,6 +305,27 @@ class TestDrawFlowScript:
         assert (tmp_path / "flow_overlay.svg").read_text().count("<polyline") == 5
         drifts = [float(d) for d in re.findall(r"max drift (\S+),", capsys.readouterr().out)]
         assert len(drifts) == 5 and max(drifts) < 1e-12
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-3"),
+                                             ("--t", "nan"), ("--t", "inf")])
+    def test_bad_argument_is_a_usage_error(self, flag, value, tmp_path, capsys, monkeypatch):
+        script = self.load(monkeypatch, flag, value, "--out", str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as info:
+            script.main()
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_span_beyond_cap_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # the first start has L = 1.92..., so t L = 770 at the end of its span
+        script = self.load(monkeypatch, "--t", "400", "--out", str(tmp_path / "out"))
+        assert script.main() == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: |t| * L = ")
+        assert "coords (1.0, 1.0, 1.0, 1.0), t = 400.0;" in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestProjectionParsing:

@@ -182,6 +182,94 @@ class TestTwistRoutes:
                 twist(UNIT, math.nan)
 
 
+# frozen (twist_p_form, twist_closed_form, twist_oracle) outputs on each
+# quadruple at t = tL / L, tL on both sides of the 300 branch point and near
+# the cap: _growth's scale pair must keep every bit of each route's branch
+PINNED_ACROSS_BRANCH = {
+    (1.0, 1.0, 1.0, 1.0): {
+        -640.0: (
+            (1.4739300281345284e-277, 4.650222083421789e+277, 0.38196601125010515, 0.38196601125010515),
+            (1.4739300281345287e-277, 4.650222083421789e+277, 0.38196601125010515, 0.38196601125010515),
+            (1.473930028134529e-277, 4.6502220834217886e+277, 0.38196601125010504, 0.3819660112501052),
+        ),
+        -300.5: (
+            (4.087459597534314e-130, 1.676861092494785e+130, 0.38196601125010515, 0.38196601125010515),
+            (4.087459597534314e-130, 1.6768610924947847e+130, 0.38196601125010515, 0.38196601125010515),
+            (4.087459597534315e-130, 1.6768610924947844e+130, 0.3819660112501051, 0.3819660112501052),
+        ),
+        299.5: (
+            (1.6210536702326757e-130, 9.000197614023115e+128, 2.6180339887498953, 2.6180339887498953),
+            (1.621053670232676e-130, 9.000197614023116e+128, 2.618033988749895, 2.618033988749895),
+            (1.6210536702326767e-130, 9.000197614023112e+128, 2.6180339887498953, 2.618033988749895),
+        ),
+        300.5: (
+            (5.963523183141122e-131, 2.4465073626739495e+129, 2.6180339887498953, 2.6180339887498953),
+            (5.963523183141123e-131, 2.4465073626739498e+129, 2.618033988749895, 2.618033988749895),
+            (5.963523183141123e-131, 2.446507362673949e+129, 2.6180339887498953, 2.618033988749895),
+        ),
+        640.0: (
+            (2.1504349299037487e-278, 6.784582584735344e+276, 2.6180339887498953, 2.6180339887498953),
+            (2.150434929903749e-278, 6.784582584735346e+276, 2.618033988749895, 2.618033988749895),
+            (2.150434929903749e-278, 6.784582584735343e+276, 2.6180339887498953, 2.6180339887498945),
+        ),
+    },
+    (2.0, 0.5, 3.0, 0.25): {
+        -640.0: (
+            (5.042667994781318e-277, 2.7620702462842846e+277, 0.8038475772933681, 0.06698729810778067),
+            (5.042667994781323e-277, 2.7620702462842838e+277, 0.8038475772933678, 0.06698729810778065),
+            (5.042667994781316e-277, 2.7620702462842846e+277, 0.8038475772933682, 0.06698729810778066),
+        ),
+        -300.5: (
+            (1.3984179234434285e-129, 9.959971905951449e+129, 0.8038475772933681, 0.06698729810778067),
+            (1.3984179234434299e-129, 9.959971905951448e+129, 0.8038475772933678, 0.06698729810778065),
+            (1.3984179234434278e-129, 9.95997190595145e+129, 0.8038475772933682, 0.06698729810778066),
+        ),
+        299.5: (
+            (2.729206321189292e-130, 2.630683109850204e+128, 11.196152422706632, 0.9330127018922193),
+            (2.729206321189291e-130, 2.6306831098502048e+128, 11.196152422706634, 0.9330127018922195),
+            (2.7292063211892917e-130, 2.6306831098502048e+128, 11.196152422706628, 0.9330127018922192),
+        ),
+        300.5: (
+            (1.0040188962806845e-130, 7.150938093939942e+128, 11.196152422706632, 0.9330127018922193),
+            (1.0040188962806843e-130, 7.150938093939942e+128, 11.196152422706632, 0.9330127018922194),
+            (1.0040188962806843e-130, 7.150938093939942e+128, 11.196152422706632, 0.9330127018922193),
+        ),
+        640.0: (
+            (3.620472728183741e-278, 1.9830772143534042e+276, 11.196152422706632, 0.9330127018922193),
+            (3.62047272818374e-278, 1.9830772143534042e+276, 11.196152422706632, 0.9330127018922194),
+            (3.620472728183741e-278, 1.9830772143534044e+276, 11.196152422706632, 0.9330127018922193),
+        ),
+    },
+    (0.3, 7.0, 0.2, 5.0): {
+        -640.0: (
+            (6.4262225497245046e-279, 4.9662487232355254e+278, 0.16223611165368823, 4.055902791342206),
+            (6.4262225497245014e-279, 4.966248723235527e+278, 0.16223611165368823, 4.055902791342206),
+            (6.426222549724502e-279, 4.9662487232355266e+278, 0.16223611165368826, 4.055902791342206),
+        ),
+        -300.5: (
+            (1.7821012215897015e-131, 1.7908196878024684e+131, 0.16223611165368823, 4.055902791342206),
+            (1.7821012215897005e-131, 1.7908196878024688e+131, 0.16223611165368823, 4.055902791342206),
+            (1.7821012215897012e-131, 1.7908196878024688e+131, 0.16223611165368826, 4.055902791342206),
+        ),
+        299.5: (
+            (3.3675501027385186e-130, 9.304685659388626e+128, 0.5177638883463118, 12.944097208657794),
+            (3.3675501027385234e-130, 9.304685659388593e+128, 0.5177638883463124, 12.94409720865781),
+            (3.367550102738519e-130, 9.304685659388631e+128, 0.5177638883463118, 12.944097208657793),
+        ),
+        300.5: (
+            (1.2388524499122794e-130, 2.5292757947439583e+129, 0.5177638883463118, 12.944097208657794),
+            (1.2388524499122807e-130, 2.5292757947439488e+129, 0.5177638883463125, 12.944097208657812),
+            (1.2388524499122794e-130, 2.5292757947439583e+129, 0.5177638883463117, 12.944097208657794),
+        ),
+        640.0: (
+            (4.46727798228324e-278, 7.014113577102471e+276, 0.5177638883463118, 12.944097208657794),
+            (4.467277982283244e-278, 7.014113577102445e+276, 0.5177638883463125, 12.944097208657812),
+            (4.467277982283239e-278, 7.0141135771024725e+276, 0.5177638883463117, 12.944097208657794),
+        ),
+    },
+}
+
+
 class TestLargeParameters:
     def test_shifted_branch_agrees_across_routes(self):
         # pick t so that |t| L brackets the 300 branch point and stays valid
@@ -244,6 +332,14 @@ class TestLargeParameters:
         length = core_geodesic(UNIT)[0]
         moved = twist_p_form(UNIT, 640.0 / length)
         assert rel_err(core_geodesic(moved)[1], 3.0) < 1e-9
+
+    @pytest.mark.parametrize("quadruple", list(PINNED_ACROSS_BRANCH))
+    def test_routes_keep_their_bits_across_branch_point(self, quadruple):
+        coords = AnnulusCoords(*quadruple)
+        length = length_trace(coords[0], coords[1])[0]
+        for s, pinned in PINNED_ACROSS_BRANCH[quadruple].items():
+            for route, expected in zip((twist_p_form, twist_closed_form, twist_oracle), pinned):
+                assert route(coords, s / length).as_tuple() == expected, (route.__name__, s)
 
 
 class TestOracle:
