@@ -121,7 +121,4 @@ def coords_from_endpoints(ends) -> AnnulusCoords:
     if not (-math.inf < x2 < x1 < x3 < 0.0 and 1.0 < x4 < math.inf):
         raise ValueError(f"endpoints {tuple(ends)} violate the order "
                          "x2 < x1 < x3 < 0 < 1 < x4 of finite values")
-    # the float operations of mobius.cross_ratio with infinity in place z
-    # (X1, X2, X4: -(w - x)/(y - x)) or in place y (X3: -(w - x)/(w - z))
-    return AnnulusCoords(-(x1 - 0.0) / (1.0 - 0.0), -(x2 - x1) / (0.0 - x1),
-                         -(x3 - 0.0) / (x3 - x1), -(0.0 - 1.0) / (x4 - 1.0))
+    return AnnulusCoords(-x1, (x2 - x1) / x1, -x3 / (x3 - x1), 1.0 / (x4 - 1.0))

@@ -63,23 +63,19 @@ def parse_coords(text: str) -> AnnulusCoords:
     return AnnulusCoords(*values)
 
 
+# --proj axis name -> (coordinate index, log scale)
+_AXES = {f"{log}{x}{i}": (i, bool(log)) for log in ("", "log") for x in "Xx" for i in range(1, 5)}
+
+
 def parse_projection(text: str):
     """Parse an axis pair like ``X1,X3`` or ``logX1,logX2``."""
-    parts = text.split(",")
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise UsageError(f"--proj needs two comma-separated axes, got {text!r}")
-    axes = []
-    for part in parts:
-        part = part.strip()
-        name = part
-        is_log = part.startswith("log")
-        if is_log:
-            part = part[3:]
-        if len(part) == 2 and part[0] in "Xx" and part[1] in "1234":
-            axes.append((name, int(part[1]), is_log))
-        else:
+    for name in parts:
+        if name not in _AXES:
             raise UsageError(f"invalid projection axis {name!r} (use X1..X4 or logX1..logX4)")
-    return axes
+    return [(name, *_AXES[name]) for name in parts]
 
 
 def _write_text(text: str, path):
@@ -140,10 +136,10 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     once and every sample is twisted from them.  Length and trace are still
     recomputed from each sample's own X1, X2, so the emitted rows exhibit,
     rather than assume, their invariance.  A span whose end is past the
-    |t| L cap raises TwistRangeError before any sample is computed.
+    |t| L cap, or not finite, raises before any sample is computed.
     """
     core = core_geodesic(coords)
-    _growth(coords, t_max, core[0])
+    t_max = _growth(coords, t_max, core[0])[0]
     samples = []
     for i in range(steps + 1):
         t = i * t_max / steps

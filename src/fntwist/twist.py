@@ -12,8 +12,10 @@ Three independent routes compute the twisted quadruple:
   w = (p - p1)/(p - p2), where the map is w -> e^(t L) w, and re-reads the
   four cross ratios there.  stratum_map gives the same map as a matrix.
 
-Every route takes e^(t L) from _growth as a scale pair (moved, fixed) with
-moved / fixed = e^(t L) and writes each gap A e^(t L) - B once, as A moved - B fixed.
+_growth owns t: it converts, checks and caps it and returns it with the scale
+pair (moved, fixed), moved / fixed = e^(t L), so each route writes each gap
+A e^(t L) - B once, as A moved - B fixed.  stratum_map's det-1 diagonal takes
+its own e^(+/- t L/2): scaling (moved, fixed) to det 1 loses range.
 
 At integer parameters the flow is a power of the Dehn twist, a rational
 map implemented separately in dehn_twist.  All routes accept negative t;
@@ -38,17 +40,6 @@ class TwistRangeError(OverflowError):
     """Raised when |t| * L is too large for the result to be representable."""
 
 
-def _check_t(coords: AnnulusCoords, t) -> float:
-    try:
-        t = float(t)
-    except OverflowError:  # a number past float range, so |t| L is beyond the cap at every L
-        raise _out_of_range(f"|t| is past float range, so |t| * L exceeds {MAX_TWIST_LENGTH}",
-                            coords, "t", t) from None
-    if not math.isfinite(t):
-        raise ValueError(f"twist parameter must be finite, got {t!r}")
-    return t
-
-
 def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
     """The hyperbolic map applied to the moving side of the cut.
 
@@ -57,10 +48,8 @@ def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
     length is |t| L; at t = 0 it is the identity.  Past the |t| L cap it
     raises TwistRangeError, as the twist routes do.
     """
-    t = _check_t(coords, t)
     length, _, p1, p2 = core_geodesic(coords)
-    _growth(coords, t, length)
-    s = t * length
+    s = _growth(coords, t, length)[0] * length  # t as a checked float, times L
     # normalizer sends p1 to 0 and p2 to infinity; constructor supplies 1/sqrt(p1-p2)
     frame = MobiusMap(1.0, -p1, 1.0, -p2)
     diagonal = MobiusMap(math.exp(s / 2.0), 0.0, 0.0, math.exp(-s / 2.0))
@@ -78,14 +67,24 @@ def _out_of_range(why: str, coords: AnnulusCoords, name: str, value) -> TwistRan
     )
 
 
-def _growth(coords: AnnulusCoords, t: float, length: float):
-    """Scale pair (moved, fixed) = (e^(t L), 1.0), or (1.0, e^(-t L)) past _SHIFT_THRESHOLD."""
+def _growth(coords: AnnulusCoords, t, length: float):
+    """t as a float with its scale pair: (t, e^(t L), 1.0), or (t, 1.0, e^(-t L)) past 300.
+
+    ValueError for a non-finite t; TwistRangeError past the |t| L cap or float range.
+    """
+    try:
+        t = float(t)
+    except OverflowError:  # a number past float range, so |t| L is beyond the cap at every L
+        raise _out_of_range(f"|t| is past float range, so |t| * L exceeds {MAX_TWIST_LENGTH}",
+                            coords, "t", t) from None
     s = t * length
-    if abs(s) > MAX_TWIST_LENGTH:
+    if not abs(s) <= MAX_TWIST_LENGTH:  # one test on the hot path; also true for nan
+        if not math.isfinite(t):
+            raise ValueError(f"twist parameter must be finite, got {t!r}")
         raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
     if s <= _SHIFT_THRESHOLD:
-        return math.exp(s), 1.0
-    return 1.0, math.exp(-s)
+        return t, math.exp(s), 1.0
+    return t, 1.0, math.exp(-s)
 
 
 def _checked(values, coords: AnnulusCoords, name: str, value):
@@ -98,14 +97,14 @@ def _checked(values, coords: AnnulusCoords, name: str, value):
     return values
 
 
-def twist_from_core(coords: AnnulusCoords, core, t: float):
+def twist_from_core(coords: AnnulusCoords, core, t):
     """The twisted quadruple as a 4-tuple, given core = core_geodesic(coords).
 
     The invariants depend only on the start, so a trajectory computes them
-    once and calls this for every t.  t must already be a finite float.
+    once and calls this for every t.
     """
     length, _, p1, p2 = core
-    moved, fixed = _growth(coords, t, length)
+    t, moved, fixed = _growth(coords, t, length)
     x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
     # x1 + p2 and p2 are negative, so both gaps are sums of like-signed
@@ -123,15 +122,14 @@ def twist_from_core(coords: AnnulusCoords, core, t: float):
 
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist by t core lengths, in the axis-endpoint (p1, p2) form."""
-    return _prevalidated(twist_from_core(coords, core_geodesic(coords), _check_t(coords, t)))
+    return _prevalidated(twist_from_core(coords, core_geodesic(coords), t))
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist by t core lengths, written directly in cosh(L) and e^(+/- L/2)."""
-    t = _check_t(coords, t)
     x1, x2, x3, x4 = coords
     length = length_trace(x1, x2)[0]
-    moved, fixed = _growth(coords, t, length)
+    t, moved, fixed = _growth(coords, t, length)
     r = math.sqrt(x1 * x2)
     half_up = math.exp(length / 2.0)
     half_down = math.exp(-length / 2.0)
@@ -155,7 +153,7 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     """First-principles twist: move the vertices, re-read the cross ratios.
 
     Shares with the p-form only (p1, p2, L) from core_geodesic, _growth
-    (the |t| L cap and the scale pair) and the positive/finite guard; its
+    (t's check and cap, and the scale pair) and the positive/finite guard; its
     twist and cross-ratio algebra is its own.  Cross ratios are Mobius
     invariant, so it reads the endpoint configuration in the axis frame
     W(v) = (v - p1)/(v - p2), where the twist multiplies W of the moving
@@ -163,9 +161,8 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     and evaluates the cross ratios X1 = [0:1:inf:x1], X2 = [x1:0:inf:x2],
     X3 = [0:inf:x1:x3] and X4 = [1:x4:inf:0].
     """
-    t = _check_t(coords, t)
     length, _, p1, p2 = core_geodesic(coords)
-    moved, fixed = _growth(coords, t, length)  # W of the moving side scales by moved / fixed
+    t, moved, fixed = _growth(coords, t, length)  # W of the moving side scales by moved / fixed
     x1, x2, x3, x4 = coords
     _, e2, e3, e4 = endpoints(coords)
     width = p1 - p2

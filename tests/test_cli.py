@@ -220,6 +220,16 @@ class TestSampleFlow:
                            match=r"coords \(1\.0, 1\.0, 1\.0, 1\.0\), t = 400\.0;"):
             sample_flow(AnnulusCoords(1, 1, 1, 1), 400.0, 10)
 
+    @pytest.mark.parametrize("t_max, error", [(math.nan, ValueError), (10**400, TwistRangeError)],
+                             ids=["nan", "1e400"])
+    def test_bad_span_raises_before_sampling(self, monkeypatch, t_max, error):
+        def unexpected(*_args):
+            raise AssertionError("sample_flow twisted a span it should have rejected")
+
+        monkeypatch.setattr(cli, "twist_from_core", unexpected)
+        with pytest.raises(error):
+            sample_flow(AnnulusCoords(1, 1, 1, 1), t_max, 10)
+
 
 class TestFlowAcrossShiftedBranch:
     # the flow-export benchmark's seed-1 start: at t_max = 250 the trajectory

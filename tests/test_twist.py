@@ -19,6 +19,8 @@ from fntwist import (
     twist_p_form,
 )
 from fntwist.annulus import length_trace
+from fntwist.cli import sample_flow
+from fntwist.twist import twist_from_core
 from util import holonomy_f2, load_benchmark_module, max_rel, rel_err
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
@@ -340,6 +342,55 @@ class TestLargeParameters:
         for s, pinned in PINNED_ACROSS_BRANCH[quadruple].items():
             for route, expected in zip((twist_p_form, twist_closed_form, twist_oracle), pinned):
                 assert route(coords, s / length).as_tuple() == expected, (route.__name__, s)
+
+
+# every entry point that takes a twist parameter, as f(coords, t)
+T_ENTRY_POINTS = {
+    "p_form": twist_p_form,
+    "closed_form": twist_closed_form,
+    "oracle": twist_oracle,
+    "stratum_map": stratum_map,
+    "from_core": lambda coords, t: twist_from_core(coords, core_geodesic(coords), t),
+    "sample_flow": lambda coords, t: sample_flow(coords, t, 10),
+}
+PAST_FLOAT_RANGE = ("|t| is past float range, so |t| * L exceeds 650.0 for coords "
+                    "(1.0, 1.0, 1.0, 1.0), t = {!r}; result not representable")
+
+
+class TestParameterGuard:
+    @pytest.mark.parametrize("t, error, message", [
+        (math.nan, ValueError, "twist parameter must be finite, got nan"),
+        (math.inf, ValueError, "twist parameter must be finite, got inf"),
+        (-math.inf, ValueError, "twist parameter must be finite, got -inf"),
+        (10**400, TwistRangeError, PAST_FLOAT_RANGE.format(10**400)),
+        (-10**400, TwistRangeError, PAST_FLOAT_RANGE.format(-10**400)),
+    ], ids=["nan", "inf", "-inf", "1e400", "-1e400"])
+    @pytest.mark.parametrize("entry", list(T_ENTRY_POINTS))
+    def test_every_entry_point_gives_the_same_error(self, entry, t, error, message):
+        with pytest.raises(Exception) as info:
+            T_ENTRY_POINTS[entry](UNIT, t)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", list(T_ENTRY_POINTS))
+    def test_integer_parameter_equals_its_float(self, entry):
+        by_int, by_float = T_ENTRY_POINTS[entry](UNIT, 3), T_ENTRY_POINTS[entry](UNIT, 3.0)
+        if entry == "stratum_map":  # MobiusMap's == is a tolerance test; compare the entries
+            by_int, by_float = by_int.entries(), by_float.entries()
+        assert by_int == by_float
+
+
+class TestTinyFirstCoordinate:
+    # below the 1e-12 floor of kernel-sweep's draws, down to X1 = 1e-200
+    @pytest.mark.parametrize("coords, t", [
+        ((1e-200, 1.0, 1.0, 1.0), 0.1),
+        ((1e-170, 1.0, 1.0, 1.0), 0.1),
+        ((1e-160, 1.0, 1.0, 1.0), 0.5),
+    ])
+    @pytest.mark.parametrize("twist", [twist_p_form, twist_closed_form])
+    def test_matches_mpmath_reference(self, twist, coords, t):
+        exact = load_benchmark_module("reference").twist_reference(coords, t)
+        assert max_rel(twist(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-12
 
 
 class TestOracle:
