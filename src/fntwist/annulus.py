@@ -74,7 +74,7 @@ class AnnulusCoords(tuple):
 
 
 def _prevalidated(values) -> AnnulusCoords:
-    """AnnulusCoords of a 4-tuple of floats the caller has proved positive and finite."""
+    """AnnulusCoords of four floats the caller has proved positive and finite."""
     _hyperbolic_trace(values[0], values[1])
     return tuple.__new__(AnnulusCoords, values)
 

@@ -31,7 +31,7 @@ CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
 # json.dumps(indent=2) gives it, split after X4.  "%r" writes float.__repr__,
 # the text json writes for a finite float; every sample value is finite.  The
 # flow preserves L and trace, so a trajectory repeats a few (L, trace) pairs
-# while t and X1..X4 change on every row: _Tails formats each pair once.
+# while t and X1..X4 change on every row: _rows formats each pair once.
 _NAMES = CSV_HEADER.split(",")
 _CSV_HEAD, _CSV_TAIL = "%.17g," * 5, "%.17g,%.17g\n"
 _JSON_HEAD = "    {\n" + "".join(f"      {json.dumps(k)}: %r,\n" for k in _NAMES[:5])
@@ -101,7 +101,7 @@ def _quadruple_report(args, kernel, name, value):
     """Write kernel(coords, value) for the parsed --coords, with the core length and trace."""
     coords = parse_coords(args.coords)
     result = kernel(coords, value)
-    length, trace, _, _ = core_geodesic(coords)
+    length, trace = length_trace(coords[0], coords[1])
     if args.format == "csv":
         lines = [
             "X1,X2,X3,X4,L,trace",
@@ -148,23 +148,12 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     return samples
 
 
-class _Tails(dict):
-    """(L, trace) -> template % (L, trace), formatted on first lookup.
-
-    L and trace are positive and finite, so equal keys mean equal text: no -0.0, no NaN.
-    """
-
-    def __init__(self, template):
-        self.template = template
-
-    def __missing__(self, pair):
-        text = self[pair] = self.template % pair
-        return text
-
-
 def _rows(head, tail, samples):
-    """Each sample as head % (t, X1..X4) + tail % (L, trace), the tail once per distinct pair."""
-    tails = _Tails(tail)
+    """Each sample as head % (t, X1..X4) + tail % (L, trace), the tail once per distinct pair.
+
+    L and trace are positive and finite, so equal pairs mean equal text: no -0.0, no NaN.
+    """
+    tails = {pair: tail % pair for pair in {s[5:] for s in samples}}
     return [head % (t, x1, x2, x3, x4) + tails[length, trace]
             for t, x1, x2, x3, x4, length, trace in samples]
 
@@ -174,7 +163,7 @@ def format_csv(samples) -> str:
 
 
 def format_flow_json(coords, t_max, steps, samples) -> str:
-    length, trace, _, _ = core_geodesic(coords)
+    length, trace = length_trace(coords[0], coords[1])
     head = json.dumps({
         "input": {"coords": list(coords), "t_max": t_max, "steps": steps},
         "invariants": {"L": length, "trace": trace},

@@ -10,7 +10,7 @@ taken on trust.
 
 from __future__ import annotations
 
-from .annulus import AnnulusCoords, _coordinate
+from .annulus import _coordinate, _prevalidated
 from .twist import TwistRangeError, twist_p_form
 
 
@@ -75,25 +75,21 @@ class AnnulusEmbedding(_Frozen):
         return (self.i1, self.i2, self.i3, self.i4)
 
 
-def _prevalidated(values: tuple) -> SurfaceCoords:
-    coords = object.__new__(SurfaceCoords)  # the caller's entries already pass __init__'s checks
-    object.__setattr__(coords, "values", values)
-    return coords
-
-
 def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> SurfaceCoords:
     """Twist the embedded annulus quadruple by t, leaving all other entries alone.
 
-    Untouched entries are copied bit for bit, unchecked; errors name the embedding indices.
+    No entry is re-validated, only the quadruple's trace; errors name the embedding indices.
     """
     idx = embedding.as_tuple()
     try:
         if max(idx) > len(coords):
             raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}")
-        twisted = twist_p_form(AnnulusCoords(*(coords.values[i - 1] for i in idx)), t)
+        twisted = twist_p_form(_prevalidated([coords.values[i - 1] for i in idx]), t)
     except (ValueError, TwistRangeError) as exc:
         raise type(exc)(f"{exc}; embedding indices {idx}") from None
     out = list(coords.values)
     for i, v in zip(idx, twisted):
         out[i - 1] = v
-    return _prevalidated(tuple(out))
+    result = object.__new__(SurfaceCoords)  # its entries already pass __init__'s checks
+    object.__setattr__(result, "values", tuple(out))
+    return result

@@ -194,19 +194,6 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     return _prevalidated(_checked((y1, y2, y3, y4), coords, "t", t))
 
 
-def _dehn_forward(values):
-    x1, x2, x3, x4 = values
-    grow = x1 + 1.0
-    return (x1 * x1 * x2 / (grow * grow), 1.0 / x1, grow * x3, grow * x4)
-
-
-def _dehn_backward(values):
-    # inverse of _dehn_forward, solved for the preimage
-    y1, y2, y3, y4 = values
-    shrink = y2 / (1.0 + y2)
-    return (1.0 / y2, y1 * (1.0 + y2) ** 2, shrink * y3, shrink * y4)
-
-
 def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
     """m-fold Dehn twist: the integer-parameter flow as a rational map.
 
@@ -218,15 +205,18 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
-    values = coords
-    length = length_trace(coords[0], coords[1])[0]
+    x1, x2, x3, x4 = coords
+    length = length_trace(x1, x2)[0]
     if abs(m) > MAX_TWIST_LENGTH / length:  # int-float comparison is exact: no overflow for huge m
         raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {length!r})",
                             coords, "m", m)
-    step = _dehn_forward if m >= 0 else _dehn_backward
-    try:
-        for _ in range(abs(m)):
-            values = step(values)
+    try:  # one of the two ranges is empty
+        for _ in range(m):
+            grow = x1 + 1.0
+            x1, x2, x3, x4 = x1 * x1 * x2 / (grow * grow), 1.0 / x1, grow * x3, grow * x4
+        for _ in range(-m):  # the forward map solved for its preimage
+            shrink = x2 / (1.0 + x2)
+            x1, x2, x3, x4 = 1.0 / x2, x1 * (1.0 + x2) ** 2, shrink * x3, shrink * x4
     except ArithmeticError as exc:  # a coordinate reached 0 or overflowed mid-iteration
         raise _out_of_range(f"Dehn iteration raised {type(exc).__name__}", coords, "m", m) from None
-    return _prevalidated(_checked(values, coords, "m", m))
+    return _prevalidated(_checked((x1, x2, x3, x4), coords, "m", m))

@@ -88,6 +88,13 @@ class TestDehnCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["output"] == pytest.approx([1.0, 1.0, 1.0, 1.0], rel=1e-12)
 
+    def test_report_needs_no_axis(self, capsys):
+        # the axis endpoints' discriminant overflows at X1 = 1e200; the report reads only L and trace
+        assert run(["dehn", "--coords", "1e200,1,1,1", "--m", "-1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["output"] == [1.0, 4e200, 0.5, 0.5]
+        assert payload["trace"] == 2e100
+
     @pytest.mark.parametrize("m", [170, 200, -170])
     def test_arithmetic_failure_exit_one(self, m, capsys):
         # m = 170 underflows X1 to zero, m = 200 then divides by it,

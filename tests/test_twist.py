@@ -20,6 +20,7 @@ from fntwist import (
 )
 from fntwist.annulus import length_trace
 from fntwist.cli import sample_flow
+from fntwist.sampling import Lcg, random_coords
 from fntwist.twist import twist_from_core
 from util import holonomy_f2, load_benchmark_module, max_rel, rel_err
 
@@ -473,6 +474,20 @@ class TestDehnTwist:
             monkeypatch.setattr(math, name, boom)
         result = dehn_twist(coords, 3)
         assert all(v > 0.0 for v in result.as_tuple())
+
+    @pytest.mark.parametrize("m", [10, -10, 40, -40])
+    def test_many_steps_match_exact_rational_map(self, m):
+        # seeded draws in (0.1, 10)^4 with |m| L <= 300, against the Fraction iteration
+        reference = load_benchmark_module("reference")
+        rng, checked = Lcg(m), 0
+        while checked < 12:
+            coords = random_coords(rng)
+            if abs(m) * length_trace(coords.x1, coords.x2)[0] > 300.0:
+                continue
+            exact = reference.dehn_exact(coords, m)
+            result = dehn_twist(coords, m)
+            assert max(reference.rel_error(v, e) for v, e in zip(result, exact)) < 1e-12
+            checked += 1
 
     @pytest.mark.parametrize("coords, m", [
         ((1e-10, 1e10, 1.0, 1.0), 10**8),  # |m| L = 2000

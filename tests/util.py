@@ -34,7 +34,8 @@ def load_benchmark_module(name: str):
 
 
 def rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    # floored at the smallest subnormal, so an error in a result below 1e-300 still shows
+    return abs(a - b) / max(abs(a), abs(b), 5e-324)
 
 
 def max_rel(a, b) -> float:
