@@ -25,9 +25,16 @@ HYPERBOLICITY_MARGIN = 1e-12
 
 
 def _hyperbolic_trace(x1: float, x2: float) -> float:
-    tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
-    if tr <= 2.0 + HYPERBOLICITY_MARGIN:
-        raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2 "
+    try:
+        tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
+    except ZeroDivisionError:
+        raise ValueError(f"holonomy trace is out of range: sqrt(X1 * X2) underflows to 0 "
+                         f"for X1 = {x1!r}, X2 = {x2!r}") from None
+    if not 2.0 + HYPERBOLICITY_MARGIN < tr < math.inf:  # one test when valid; fires for nan too
+        if tr <= 2.0 + HYPERBOLICITY_MARGIN:
+            raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2 "
+                             f"for X1 = {x1!r}, X2 = {x2!r}")
+        raise ValueError(f"holonomy trace is out of range: |trace| = {tr} is not finite "
                          f"for X1 = {x1!r}, X2 = {x2!r}")
     return tr
 
@@ -44,7 +51,7 @@ def _coordinate(field, v) -> float:
 
 
 def length_trace(x1: float, x2: float):
-    """(L, |trace|) of the core curve from X1, X2; AnnulusCoords' ValueError if not hyperbolic."""
+    """(L, |trace|) of the core curve from X1, X2; ValueError if not hyperbolic or out of range."""
     tr = _hyperbolic_trace(x1, x2)
     return 2.0 * math.acosh(tr / 2.0), tr
 
@@ -99,7 +106,11 @@ def core_geodesic(coords: AnnulusCoords):
     x1, x2, _, _ = coords
     length, tr = length_trace(x1, x2)
     lin = x1 * (x2 + 1.0) - 1.0
-    disc = (x1 * (x2 + 1.0) + 1.0) ** 2 - 4.0 * x1 * x2
+    try:
+        disc = (x1 * (x2 + 1.0) + 1.0) ** 2 - 4.0 * x1 * x2
+    except OverflowError:  # the square passes the double range once X1 * (X2 + 1) nears 1.3e154
+        raise OverflowError("core geodesic discriminant overflows "
+                            f"for X1 = {x1!r}, X2 = {x2!r}") from None
     sq = math.sqrt(disc)
     if lin > 0.0:
         p2 = (-lin - sq) / 2.0

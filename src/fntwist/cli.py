@@ -138,6 +138,8 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     rather than assume, their invariance.  A span whose end is past the
     |t| L cap, or not finite, raises before any sample is computed.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps!r}")
     core = core_geodesic(coords)
     t_max = _growth(coords, t_max, core[0])[0]
     samples = []

@@ -10,17 +10,20 @@ taken on trust.
 
 from __future__ import annotations
 
+from array import array
+
 from .annulus import _coordinate, _prevalidated
 from .twist import TwistRangeError, twist_p_form
 
 
 class _Frozen:
-    """Read-only fields named by __slots__, compared, hashed and shown as a frozen dataclass's."""
+    """Read-only fields named by _names, compared, hashed and shown as a frozen dataclass's."""
 
     __slots__ = ()
+    _names = ()
 
     def _fields(self):
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
@@ -29,7 +32,7 @@ class _Frozen:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._names])
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, *value):
@@ -42,24 +45,34 @@ class _Frozen:
 
 
 class SurfaceCoords(_Frozen):
-    """Positive cross-ratio coordinates of a labelled triangulation, indexed 1..n."""
+    """Positive cross-ratio coordinates of a labelled triangulation, indexed 1..n.
 
-    __slots__ = ("values",)
+    The entries are stored as doubles in an array that nothing mutates after
+    construction; `values` builds a new tuple of floats on each read, so a
+    caller reading many entries should hold it in a local.
+    """
+
+    __slots__ = ("_entries",)
+    _names = ("values",)
 
     def __init__(self, values):
-        values = tuple(_coordinate(i, v) for i, v in enumerate(values, start=1))
-        object.__setattr__(self, "values", values)
-        if len(values) < 4:
-            raise ValueError(f"need at least 4 coordinates, got {len(values)}")
+        entries = array("d", [_coordinate(i, v) for i, v in enumerate(values, start=1)])
+        object.__setattr__(self, "_entries", entries)
+        if len(entries) < 4:
+            raise ValueError(f"need at least 4 coordinates, got {len(entries)}")
+
+    @property
+    def values(self):
+        return tuple(self._entries)
 
     def __len__(self):
-        return len(self.values)
+        return len(self._entries)
 
 
 class AnnulusEmbedding(_Frozen):
     """1-based indices of the arcs playing the four annulus roles."""
 
-    __slots__ = ("i1", "i2", "i3", "i4")
+    __slots__ = _names = ("i1", "i2", "i3", "i4")
 
     def __init__(self, i1, i2, i3, i4):
         idx = (i1, i2, i3, i4)
@@ -68,7 +81,7 @@ class AnnulusEmbedding(_Frozen):
                 raise ValueError(f"embedding indices must be integers >= 1, got {i!r}")
         if len(set(idx)) != 4:
             raise ValueError(f"embedding indices must be pairwise distinct, got {idx}")
-        for name, i in zip(self.__slots__, idx):
+        for name, i in zip(self._names, idx):
             object.__setattr__(self, name, i)
 
     def as_tuple(self):
@@ -81,15 +94,16 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
     No entry is re-validated, only the quadruple's trace; errors name the embedding indices.
     """
     idx = embedding.as_tuple()
+    entries = coords._entries
     try:
-        if max(idx) > len(coords):
-            raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}")
-        twisted = twist_p_form(_prevalidated([coords.values[i - 1] for i in idx]), t)
+        if max(idx) > len(entries):
+            raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(entries)}")
+        twisted = twist_p_form(_prevalidated([entries[i - 1] for i in idx]), t)
     except (ValueError, TwistRangeError) as exc:
         raise type(exc)(f"{exc}; embedding indices {idx}") from None
-    out = list(coords.values)
+    out = entries[:]  # one copy of the doubles; the input's array is never written
     for i, v in zip(idx, twisted):
         out[i - 1] = v
     result = object.__new__(SurfaceCoords)  # its entries already pass __init__'s checks
-    object.__setattr__(result, "values", tuple(out))
+    object.__setattr__(result, "_entries", out)
     return result

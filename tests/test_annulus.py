@@ -46,6 +46,21 @@ class TestAnnulusCoords:
                                              r"for X1 = 1e-13, X2 = 10000000000000\.0$"):
             AnnulusCoords(1e-13, 1e13, 1, 1)
 
+    @pytest.mark.parametrize("x1, x2", [(1e200, 1e200), (1e300, 1e10), (1.5e308, 0.5),
+                                        (1e-200, 1e-200)])
+    def test_trace_out_of_range_names_x1_x2(self, x1, x2):
+        # the CLI tests pin each full message
+        with pytest.raises(ValueError, match=r"^holonomy trace is out of range: ") as info:
+            AnnulusCoords(x1, x2, 1, 1)
+        assert str(info.value).endswith(f" for X1 = {x1!r}, X2 = {x2!r}")
+
+    def test_discriminant_overflow_names_x1_x2(self):
+        # the trace of (1e200, 1, 1, 1) is finite, but the discriminant's square is not
+        coords = AnnulusCoords(1e200, 1, 1, 1)
+        with pytest.raises(OverflowError, match=r"^core geodesic discriminant overflows "
+                                                r"for X1 = 1e\+200, X2 = 1\.0$"):
+            core_geodesic(coords)
+
     def test_coerces_to_float(self):
         coords = AnnulusCoords(1, 2, 3, 4)
         assert all(isinstance(v, float) for v in coords.as_tuple())

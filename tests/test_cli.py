@@ -52,6 +52,29 @@ class TestTwistCommand:
         err = capsys.readouterr().err
         assert "X2" in err and "positive" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["twist", "--coords", "1e200,1e200,1,1", "--t", "0"],
+         "holonomy trace is out of range: |trace| = nan is not finite "
+         "for X1 = 1e+200, X2 = 1e+200"),
+        (["twist", "--coords", "1e300,1e10,1,1", "--t", "0"],
+         "holonomy trace is out of range: |trace| = nan is not finite "
+         "for X1 = 1e+300, X2 = 10000000000.0"),
+        (["twist", "--coords", "1.5e308,0.5,1,1", "--t", "0"],
+         "holonomy trace is out of range: |trace| = inf is not finite "
+         "for X1 = 1.5e+308, X2 = 0.5"),
+        (["twist", "--coords", "1e-200,1e-200,1,1", "--t", "0.1"],
+         "holonomy trace is out of range: sqrt(X1 * X2) underflows to 0 "
+         "for X1 = 1e-200, X2 = 1e-200"),
+        (["twist", "--coords", "1e200,1,1,1", "--t", "0.1"],
+         "core geodesic discriminant overflows for X1 = 1e+200, X2 = 1.0"),
+        (["flow", "--coords", "1e160,1,1,1", "--t", "0.1", "--steps", "2"],
+         "core geodesic discriminant overflows for X1 = 1e+160, X2 = 1.0"),
+    ], ids=["nan-trace", "nan-trace-overflowed-product", "inf-trace", "underflowed-denominator",
+            "twist-discriminant", "flow-discriminant"])
+    def test_out_of_range_quadruple_names_x1_x2(self, capsys, argv, message):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_not_hyperbolic_names_x1_x2(self, capsys):
         assert run(["twist", "--coords", "1e-12,1e12,1,1"]) == 1
         err = capsys.readouterr().err
@@ -218,6 +241,11 @@ class TestFlowCommand:
 
 
 class TestSampleFlow:
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_raises(self, steps):
+        with pytest.raises(ValueError, match=rf"^steps must be at least 1, got {steps}$"):
+            sample_flow(AnnulusCoords(1, 1, 1, 1), 1.0, steps)
+
     def test_span_beyond_cap_raises_before_sampling(self, monkeypatch):
         def unexpected(*_args):
             raise AssertionError("sample_flow twisted a span whose end is out of range")

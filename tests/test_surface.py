@@ -104,6 +104,7 @@ class TestValueSemantics:
     # plain __slots__ classes that behave as the frozen dataclasses they replaced
     def test_surface_coords_equality_hash_and_repr(self):
         a, b = SurfaceCoords((1, 2.5, 3, 4)), SurfaceCoords((1.0, 2.5, 3.0, 4.0))
+        assert type(a.values) is tuple and all(type(v) is float for v in a.values)
         assert a == b and hash(a) == hash(b) == hash(((1.0, 2.5, 3.0, 4.0),))
         assert a != SurfaceCoords((1.0, 2.5, 3.0, 5.0))
         assert a != (1.0, 2.5, 3.0, 4.0) and a != FRONT
@@ -142,6 +143,14 @@ class TestApplyLocalTwist:
         assert type(out.values) is tuple and all(type(v) is float for v in out.values)
         with pytest.raises(AttributeError):
             out.values = VECTOR.values
+
+    def test_success_leaves_input_alone(self):
+        # the result's entries are a copy: writing the four twisted ones never reaches the input
+        vec = SurfaceCoords((0.5, 4.0, 9.9, 0.2, 2.0, 3.0, 7.0))
+        before = vec.values
+        out = apply_local_twist(vec, AnnulusEmbedding(5, 1, 6, 2), 1.25)
+        assert out.values != before
+        assert vec.values == before and vec == SurfaceCoords(before)
 
     def test_zero_twist_unchanged(self):
         assert apply_local_twist(VECTOR, FRONT, 0.0).values == pytest.approx(
@@ -200,7 +209,23 @@ def test_seeded_word_and_inverse_touch_only_their_quadruples(seed):
     for emb, t in steps:
         out = apply_local_twist(vec, emb, t)
         written = set(emb.as_tuple())
-        assert all(out.values[i - 1] == vec.values[i - 1]
-                   for i in range(1, 201) if i not in written)
+        before, after = vec.values, out.values  # each read of .values builds a new tuple
+        assert all(after[i - 1] == before[i - 1] for i in range(1, 201) if i not in written)
         vec = out
     assert max_rel(vec.values, start.values) < 1e-10
+
+
+def test_seeded_word_matches_tuple_rebuild_bit_for_bit():
+    # the reference rebuilds the vector the way a tuple-backed SurfaceCoords would
+    rng = random.Random(20240601)
+    start = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(300))
+    vec, expected = SurfaceCoords(start), start
+    for _ in range(200):
+        emb, t = AnnulusEmbedding(*rng.sample(range(1, 301), 4)), rng.uniform(-1.0, 1.0)
+        vec = apply_local_twist(vec, emb, t)
+        idx = emb.as_tuple()
+        patched = list(expected)
+        for i, v in zip(idx, twist_p_form(AnnulusCoords(*(expected[i - 1] for i in idx)), t)):
+            patched[i - 1] = v
+        expected = tuple(patched)
+    assert [x.hex() for x in vec.values] == [x.hex() for x in expected]
