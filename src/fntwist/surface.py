@@ -10,10 +10,16 @@ taken on trust.
 
 from __future__ import annotations
 
+import struct
 from array import array
 
 from .annulus import _coordinate, _prevalidated
 from .twist import TwistRangeError, twist_p_form
+
+# Blocks hold at least 64 doubles (512 bytes, the largest request CPython's
+# small-object allocator serves): a narrower block is no cheaper to copy, it
+# only means more blocks for every local twist to pass on.
+_MIN_SHIFT = 6
 
 
 class _Frozen:
@@ -47,26 +53,39 @@ class _Frozen:
 class SurfaceCoords(_Frozen):
     """Positive cross-ratio coordinates of a labelled triangulation, indexed 1..n.
 
-    The entries are stored as doubles in an array that nothing mutates after
-    construction; `values` builds a new tuple of floats on each read, so a
-    caller reading many entries should hold it in a local.
+    The validated entries are stored as doubles in a tuple of `array('d')`
+    blocks of width w = 2**s, s = max(6, n.bit_length() // 2): for n of 4096
+    and up, w is within a factor sqrt(2) of sqrt(n), and a vector of at most
+    64 entries is one block.  Entry i sits in block (i - 1) >> s at slot
+    (i - 1) & (w - 1); only the last block may be shorter.  The results of
+    `apply_local_twist` share blocks with their input, so no block is written
+    after it is built.  `values` builds a new tuple of floats on each read,
+    so a caller reading many entries should hold it in a local.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_blocks", "_shift")
     _names = ("values",)
 
     def __init__(self, values):
+        if isinstance(values, (str, bytes, bytearray)):  # they iterate as characters or ints
+            kind = type(values).__name__
+            raise TypeError(f"coordinates must be a sequence of numbers, got {kind}")
         entries = array("d", [_coordinate(i, v) for i, v in enumerate(values, start=1)])
-        object.__setattr__(self, "_entries", entries)
         if len(entries) < 4:
             raise ValueError(f"need at least 4 coordinates, got {len(entries)}")
+        shift = max(_MIN_SHIFT, len(entries).bit_length() // 2)
+        width = 1 << shift
+        blocks = tuple([entries[k:k + width] for k in range(0, len(entries), width)])
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_shift", shift)
 
     @property
     def values(self):
-        return tuple(self._entries)
+        data = b"".join(self._blocks)
+        return struct.unpack(f"{len(data) >> 3}d", data)  # builds the tuple in one pass
 
     def __len__(self):
-        return len(self._entries)
+        return ((len(self._blocks) - 1) << self._shift) + len(self._blocks[-1])
 
 
 class AnnulusEmbedding(_Frozen):
@@ -91,19 +110,39 @@ class AnnulusEmbedding(_Frozen):
 def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> SurfaceCoords:
     """Twist the embedded annulus quadruple by t, leaving all other entries alone.
 
-    No entry is re-validated, only the quadruple's trace; errors name the embedding indices.
+    No entry is re-validated, only the quadruple's trace; errors name the
+    embedding indices.  The result copies each block that holds one of the
+    four indices (at most four), writes the twisted values into those copies
+    and shares every other block with `coords`, whose blocks are never
+    written.  Beyond the twist a call costs O(sqrt(n)) time and memory.
     """
     idx = embedding.as_tuple()
-    entries = coords._entries
+    blocks, shift = coords._blocks, coords._shift
+    mask = (1 << shift) - 1
     try:
-        if max(idx) > len(entries):
-            raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(entries)}")
-        twisted = twist_p_form(_prevalidated([entries[i - 1] for i in idx]), t)
+        quad = [blocks[(i - 1) >> shift][(i - 1) & mask] for i in idx]
+    except IndexError:  # the indices are >= 1, so only one past the end gets here
+        raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}"
+                         f"; embedding indices {idx}") from None
+    try:
+        twisted = twist_p_form(_prevalidated(quad), t)
     except (ValueError, TwistRangeError) as exc:
         raise type(exc)(f"{exc}; embedding indices {idx}") from None
-    out = entries[:]  # one copy of the doubles; the input's array is never written
-    for i, v in zip(idx, twisted):
-        out[i - 1] = v
+    if len(blocks) == 1:  # a short vector: one copy, no block bookkeeping
+        out = blocks[0][:]
+        for i, v in zip(idx, twisted):
+            out[i - 1] = v
+        out = (out,)
+    else:
+        out = list(blocks)
+        for i, v in zip(idx, twisted):
+            k = (i - 1) >> shift
+            block = out[k]
+            if block is blocks[k]:  # the first write to this block copies it
+                block = out[k] = block[:]
+            block[(i - 1) & mask] = v
+        out = tuple(out)
     result = object.__new__(SurfaceCoords)  # its entries already pass __init__'s checks
-    object.__setattr__(result, "_entries", out)
+    object.__setattr__(result, "_blocks", out)
+    object.__setattr__(result, "_shift", shift)
     return result

@@ -19,6 +19,27 @@ from util import max_rel
 
 VECTOR = SurfaceCoords((1.0, 1.0, 1.0, 1.0, 5.0, 7.0))
 FRONT = AnnulusEmbedding(1, 2, 3, 4)
+# 150 entries are three blocks of 64, 64 and 22; the embedding writes all three
+TWISTED = apply_local_twist(
+    SurfaceCoords([1.0 + (k % 7) / 4.0 for k in range(150)]), AnnulusEmbedding(1, 64, 65, 150), 0.6
+)
+
+
+def block_width(n):
+    """The documented layout: blocks of 2**max(6, n.bit_length() // 2) entries."""
+    return 1 << max(6, n.bit_length() // 2)
+
+
+def flat_twist(values, idx, t):
+    """The tuple a flat vector holds after twisting the quadruple at idx by t."""
+    patched = list(values)
+    for i, v in zip(idx, twist_p_form(AnnulusCoords(*(values[i - 1] for i in idx)), t)):
+        patched[i - 1] = v
+    return tuple(patched)
+
+
+def hex_floats(values):
+    return [x.hex() for x in values]
 
 
 class TestValidation:
@@ -42,6 +63,20 @@ class TestValidation:
         with pytest.raises(ValueError) as info:
             SurfaceCoords((1.0, 1.0, value, 1.0, 5.0))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("values, name", [
+        ("1234", "str"),
+        (b"\x01\x02\x03\x04", "bytes"),
+        (bytearray(b"\x01\x02\x03\x04"), "bytearray"),
+    ])
+    def test_text_and_bytes_are_not_vectors(self, values, name):
+        # they iterate as characters or small ints, which float() would accept one by one
+        with pytest.raises(TypeError) as info:
+            SurfaceCoords(values)
+        assert str(info.value) == f"coordinates must be a sequence of numbers, got {name}"
+
+    def test_numeric_strings_inside_a_sequence_are_entries(self):
+        assert SurfaceCoords(["1", 2, 3.0, 4]).values == (1.0, 2.0, 3.0, 4.0)
 
     def test_repeated_embedding_index(self):
         with pytest.raises(ValueError):
@@ -130,10 +165,21 @@ class TestValueSemantics:
             delattr(obj, name)
         assert repr(obj) == before
 
-    @pytest.mark.parametrize("obj", [VECTOR, FRONT])
+    @pytest.mark.parametrize("obj", [VECTOR, FRONT, TWISTED])
     def test_copy_and_pickle_round_trip(self, obj):
         for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(clone) is type(obj) and clone == obj
+            assert hash(clone) == hash(obj) and repr(clone) == repr(obj)
+
+    def test_twisted_result_behaves_as_its_flat_rebuild(self):
+        # the result's blocks are partly its input's; none of that shows through its value
+        flat = SurfaceCoords(TWISTED.values)
+        assert TWISTED == flat and flat == TWISTED and len({TWISTED, flat}) == 1
+        assert hash(TWISTED) == hash(flat) == hash((TWISTED.values,))
+        assert repr(TWISTED) == repr(flat) and len(TWISTED) == len(flat) == 150
+        for clone in (copy.copy(TWISTED), copy.deepcopy(TWISTED),
+                      pickle.loads(pickle.dumps(TWISTED))):
+            assert clone == flat and hash(clone) == hash(flat) and repr(clone) == repr(flat)
 
 
 class TestApplyLocalTwist:
@@ -229,3 +275,50 @@ def test_seeded_word_matches_tuple_rebuild_bit_for_bit():
             patched[i - 1] = v
         expected = tuple(patched)
     assert [x.hex() for x in vec.values] == [x.hex() for x in expected]
+
+
+class TestSharedBlocks:
+    # a result copies the blocks it writes and shares the rest with its input
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 9, 63, 64, 65, 1000, 1025])
+    def test_block_edges_match_a_flat_rebuild(self, n):
+        rng = random.Random(n)
+        start = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n))
+        vec = SurfaceCoords(start)
+        w = block_width(n)
+        assert 1 << vec._shift == w and len(vec) == n
+        assert [len(b) for b in vec._blocks] == [w] * ((n - 1) // w) + [n - (n - 1) // w * w]
+        last_start = (n - 1) // w * w + 1  # the first slot of the last block, which may be short
+        edges = sorted({1, 2, min(w, n), min(w + 1, n), last_start, n - 1, n})
+        for k in range(len(edges) - 3):
+            idx = tuple(edges[k:k + 4]) if k % 2 else tuple(reversed(edges[k:k + 4]))
+            out = apply_local_twist(vec, AnnulusEmbedding(*idx), 0.4)
+            assert hex_floats(out.values) == hex_floats(flat_twist(start, idx, 0.4))
+            assert len(out) == n
+        assert hex_floats(vec.values) == hex_floats(start)
+
+    def test_siblings_writing_one_block_stay_apart(self):
+        start = tuple(1.0 + (k % 11) / 5.0 for k in range(300))
+        parent = SurfaceCoords(start)
+        # blocks of 64: both write blocks 0, 1 and 4, and only one of them writes 2 or 3
+        left, right = AnnulusEmbedding(3, 70, 140, 300), AnnulusEmbedding(5, 71, 200, 299)
+        a = apply_local_twist(parent, left, 0.5)
+        b = apply_local_twist(parent, right, -0.7)
+        assert a._blocks[0] is not b._blocks[0] and a._blocks[1] is not b._blocks[1]
+        assert hex_floats(parent.values) == hex_floats(start)
+        assert hex_floats(a.values) == hex_floats(flat_twist(start, left.as_tuple(), 0.5))
+        assert hex_floats(b.values) == hex_floats(flat_twist(start, right.as_tuple(), -0.7))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 65, 300, 1000, 5000]))
+    def test_untouched_blocks_are_shared(self, seed, n):
+        rng = random.Random(seed)
+        vec = SurfaceCoords([10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)])
+        emb = AnnulusEmbedding(*rng.sample(range(1, n + 1), 4))
+        out = apply_local_twist(vec, emb, rng.uniform(-1.0, 1.0))
+        touched = {(i - 1) >> vec._shift for i in emb.as_tuple()}
+        assert out._shift == vec._shift and len(out._blocks) == len(vec._blocks)
+        for k, (old, new) in enumerate(zip(vec._blocks, out._blocks)):
+            assert (old is not new) if k in touched else (old is new)
+        assert len(touched) <= 4
+
