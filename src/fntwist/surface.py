@@ -116,33 +116,26 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
     and shares every other block with `coords`, whose blocks are never
     written.  Beyond the twist a call costs O(sqrt(n)) time and memory.
     """
-    idx = embedding.as_tuple()
     blocks, shift = coords._blocks, coords._shift
     mask = (1 << shift) - 1
+    i1, i2, i3, i4 = embedding.i1 - 1, embedding.i2 - 1, embedding.i3 - 1, embedding.i4 - 1
+    k1, k2, k3, k4 = i1 >> shift, i2 >> shift, i3 >> shift, i4 >> shift  # block
+    j1, j2, j3, j4 = i1 & mask, i2 & mask, i3 & mask, i4 & mask  # slot in the block
     try:
-        quad = [blocks[(i - 1) >> shift][(i - 1) & mask] for i in idx]
+        quad = [blocks[k1][j1], blocks[k2][j2], blocks[k3][j3], blocks[k4][j4]]
     except IndexError:  # the indices are >= 1, so only one past the end gets here
+        idx = embedding.as_tuple()
         raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}"
                          f"; embedding indices {idx}") from None
     try:
         twisted = twist_p_form(_prevalidated(quad), t)
     except (ValueError, TwistRangeError) as exc:
-        raise type(exc)(f"{exc}; embedding indices {idx}") from None
-    if len(blocks) == 1:  # a short vector: one copy, no block bookkeeping
-        out = blocks[0][:]
-        for i, v in zip(idx, twisted):
-            out[i - 1] = v
-        out = (out,)
-    else:
-        out = list(blocks)
-        for i, v in zip(idx, twisted):
-            k = (i - 1) >> shift
-            block = out[k]
-            if block is blocks[k]:  # the first write to this block copies it
-                block = out[k] = block[:]
-            block[(i - 1) & mask] = v
-        out = tuple(out)
+        raise type(exc)(f"{exc}; embedding indices {embedding.as_tuple()}") from None
+    out = list(blocks)
+    for k in {k1, k2, k3, k4}:  # each written block is copied once
+        out[k] = blocks[k][:]
+    out[k1][j1], out[k2][j2], out[k3][j3], out[k4][j4] = twisted
     result = object.__new__(SurfaceCoords)  # its entries already pass __init__'s checks
-    object.__setattr__(result, "_blocks", out)
+    object.__setattr__(result, "_blocks", tuple(out))
     object.__setattr__(result, "_shift", shift)
     return result

@@ -20,9 +20,8 @@ from util import max_rel
 VECTOR = SurfaceCoords((1.0, 1.0, 1.0, 1.0, 5.0, 7.0))
 FRONT = AnnulusEmbedding(1, 2, 3, 4)
 # 150 entries are three blocks of 64, 64 and 22; the embedding writes all three
-TWISTED = apply_local_twist(
-    SurfaceCoords([1.0 + (k % 7) / 4.0 for k in range(150)]), AnnulusEmbedding(1, 64, 65, 150), 0.6
-)
+THREE_BLOCKS = tuple([1.0 + (k % 7) / 4.0 for k in range(150)])
+TWISTED = apply_local_twist(SurfaceCoords(THREE_BLOCKS), AnnulusEmbedding(1, 64, 65, 150), 0.6)
 
 
 def block_width(n):
@@ -122,7 +121,12 @@ class TestValidation:
          "holonomy is not hyperbolic"),
         ((1.0, 1.0, 1.0, 1.0, 5.0, 7.0), (1, 2, 3, 4), 400.0, TwistRangeError,
          "exceeds 650.0"),
-    ], ids=["index-past-end", "not-hyperbolic", "beyond-cap"])
+        (THREE_BLOCKS, (1, 2, 3, 151), 1.0, ValueError,
+         "embedding index 151 exceeds coordinate count 150"),
+        (THREE_BLOCKS, (1, 2, 3, 200), 1.0, ValueError,
+         "embedding index 200 exceeds coordinate count 150"),
+    ], ids=["index-past-end", "not-hyperbolic", "beyond-cap", "index-past-short-last-block",
+            "index-in-missing-block"])
     def test_failure_names_embedding_and_leaves_input_alone(self, values, indices, t, error,
                                                             cause):
         vec = SurfaceCoords(values)
