@@ -13,8 +13,8 @@ from __future__ import annotations
 import struct
 from array import array
 
-from .annulus import _coordinate, _prevalidated
-from .twist import TwistRangeError, twist_p_form
+from .annulus import _coordinate
+from .twist import twist_p_form
 
 # Blocks hold at least 64 doubles (512 bytes, the largest request CPython's
 # small-object allocator serves): a narrower block is no cheaper to copy, it
@@ -110,8 +110,8 @@ class AnnulusEmbedding(_Frozen):
 def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> SurfaceCoords:
     """Twist the embedded annulus quadruple by t, leaving all other entries alone.
 
-    No entry is re-validated, only the quadruple's trace; errors name the
-    embedding indices.  The result copies each block that holds one of the
+    The kernel checks only the quadruple's trace, once, and every error names
+    the embedding indices.  The result copies each block holding one of the
     four indices (at most four), writes the twisted values into those copies
     and shares every other block with `coords`, whose blocks are never
     written.  Beyond the twist a call costs O(sqrt(n)) time and memory.
@@ -128,8 +128,8 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
         raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}"
                          f"; embedding indices {idx}") from None
     try:
-        twisted = twist_p_form(_prevalidated(quad), t)
-    except (ValueError, TwistRangeError) as exc:
+        twisted = twist_p_form(quad, t)
+    except (ValueError, OverflowError) as exc:  # TwistRangeError is an OverflowError
         raise type(exc)(f"{exc}; embedding indices {embedding.as_tuple()}") from None
     out = list(blocks)
     for k in {k1, k2, k3, k4}:  # each written block is copied once

@@ -121,7 +121,7 @@ def twist_from_core(coords: AnnulusCoords, core, t):
 
 
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
-    """Twist by t core lengths, in the axis-endpoint (p1, p2) form."""
+    """Twist four positive finite floats by t core lengths; core_geodesic checks their trace."""
     return _prevalidated(twist_from_core(coords, core_geodesic(coords), t))
 
 

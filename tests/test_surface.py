@@ -12,6 +12,7 @@ from fntwist import (
     AnnulusEmbedding,
     SurfaceCoords,
     TwistRangeError,
+    annulus,
     apply_local_twist,
     twist_p_form,
 )
@@ -125,8 +126,10 @@ class TestValidation:
          "embedding index 151 exceeds coordinate count 150"),
         (THREE_BLOCKS, (1, 2, 3, 200), 1.0, ValueError,
          "embedding index 200 exceeds coordinate count 150"),
+        ((1e200, 1.0, 1.0, 1.0, 5.0, 7.0), (1, 2, 3, 4), 0.1, OverflowError,
+         "core geodesic discriminant overflows"),
     ], ids=["index-past-end", "not-hyperbolic", "beyond-cap", "index-past-short-last-block",
-            "index-in-missing-block"])
+            "index-in-missing-block", "overflow"])
     def test_failure_names_embedding_and_leaves_input_alone(self, values, indices, t, error,
                                                             cause):
         vec = SurfaceCoords(values)
@@ -137,6 +140,19 @@ class TestValidation:
         assert str(info.value).endswith(f"; embedding indices {indices}")
         assert vec.values == values and vec == SurfaceCoords(values)
 
+    def test_trace_is_checked_once_per_input(self, monkeypatch):
+        # the input's trace in core_geodesic and the output's in _prevalidated, nothing more
+        calls = []
+        check = annulus._hyperbolic_trace
+
+        def counted(x1, x2):
+            calls.append((x1, x2))
+            return check(x1, x2)
+
+        monkeypatch.setattr(annulus, "_hyperbolic_trace", counted)
+        out = apply_local_twist(VECTOR, AnnulusEmbedding(2, 5, 1, 6), 0.6)
+        assert len(calls) == 2
+        assert calls[0] == (1.0, 5.0) and calls[1] == (out.values[1], out.values[4])
 
 
 class TestValueSemantics:
@@ -284,7 +300,7 @@ def test_seeded_word_matches_tuple_rebuild_bit_for_bit():
 class TestSharedBlocks:
     # a result copies the blocks it writes and shares the rest with its input
 
-    @pytest.mark.parametrize("n", [4, 5, 8, 9, 63, 64, 65, 1000, 1025])
+    @pytest.mark.parametrize("n", [4, 5, 8, 9, 63, 64, 65, 1000, 1025, 8191, 8192, 40000])
     def test_block_edges_match_a_flat_rebuild(self, n):
         rng = random.Random(n)
         start = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n))
@@ -314,7 +330,7 @@ class TestSharedBlocks:
         assert hex_floats(b.values) == hex_floats(flat_twist(start, right.as_tuple(), -0.7))
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 65, 300, 1000, 5000]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 65, 300, 1000, 5000, 10000]))
     def test_untouched_blocks_are_shared(self, seed, n):
         rng = random.Random(seed)
         vec = SurfaceCoords([10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)])
