@@ -88,7 +88,7 @@ def _growth(coords: AnnulusCoords, t, length: float):
 
 
 def _checked(values, coords: AnnulusCoords, name: str, value):
-    """The twisted values, once each is checked to be positive and finite."""
+    """The twisted values, each checked positive and finite; their trace waits for length_trace."""
     y1, y2, y3, y4 = values  # chained comparisons: False for 0, inf and nan alike
     if not (0.0 < y1 < math.inf and 0.0 < y2 < math.inf
             and 0.0 < y3 < math.inf and 0.0 < y4 < math.inf):

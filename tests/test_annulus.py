@@ -38,20 +38,26 @@ class TestAnnulusCoords:
     def test_rejects_near_parabolic(self):
         # X2 = 1/X1 minimizes the trace at 2 + X1
         with pytest.raises(ValueError):
-            AnnulusCoords(1e-13, 1e13, 1, 1)
-        AnnulusCoords(1e-3, 1e3, 1, 1)  # comfortably hyperbolic
+            core_geodesic(AnnulusCoords(1e-13, 1e13, 1, 1))
+        core_geodesic(AnnulusCoords(1e-3, 1e3, 1, 1))  # comfortably hyperbolic
+
+    def test_near_parabolic_quadruple_constructs(self):
+        # every positive quadruple is a point; only computing L checks the trace
+        coords = AnnulusCoords(1e-13, 1e13, 1, 1)
+        assert coords == (1e-13, 1e13, 1.0, 1.0)
+        assert endpoints(coords) == (-1e-13, -1e-13 * (1e13 + 1.0), -0.5e-13, 2.0)
 
     def test_not_hyperbolic_message_names_x1_x2(self):
         with pytest.raises(ValueError, match=r"^holonomy is not hyperbolic: .* "
                                              r"for X1 = 1e-13, X2 = 10000000000000\.0$"):
-            AnnulusCoords(1e-13, 1e13, 1, 1)
+            core_geodesic(AnnulusCoords(1e-13, 1e13, 1, 1))
 
     @pytest.mark.parametrize("x1, x2", [(1e200, 1e200), (1e300, 1e10), (1.5e308, 0.5),
                                         (1e-200, 1e-200)])
     def test_trace_out_of_range_names_x1_x2(self, x1, x2):
         # the CLI tests pin each full message
         with pytest.raises(ValueError, match=r"^holonomy trace is out of range: ") as info:
-            AnnulusCoords(x1, x2, 1, 1)
+            core_geodesic(AnnulusCoords(x1, x2, 1, 1))
         assert str(info.value).endswith(f" for X1 = {x1!r}, X2 = {x2!r}")
 
     def test_discriminant_overflow_names_x1_x2(self):

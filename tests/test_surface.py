@@ -12,7 +12,6 @@ from fntwist import (
     AnnulusEmbedding,
     SurfaceCoords,
     TwistRangeError,
-    annulus,
     apply_local_twist,
     twist_p_form,
 )
@@ -139,20 +138,6 @@ class TestValidation:
         assert cause in str(info.value)
         assert str(info.value).endswith(f"; embedding indices {indices}")
         assert vec.values == values and vec == SurfaceCoords(values)
-
-    def test_trace_is_checked_once_per_input(self, monkeypatch):
-        # the input's trace in core_geodesic and the output's in _prevalidated, nothing more
-        calls = []
-        check = annulus._hyperbolic_trace
-
-        def counted(x1, x2):
-            calls.append((x1, x2))
-            return check(x1, x2)
-
-        monkeypatch.setattr(annulus, "_hyperbolic_trace", counted)
-        out = apply_local_twist(VECTOR, AnnulusEmbedding(2, 5, 1, 6), 0.6)
-        assert len(calls) == 2
-        assert calls[0] == (1.0, 5.0) and calls[1] == (out.values[1], out.values[4])
 
 
 class TestValueSemantics:

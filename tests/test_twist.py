@@ -1,15 +1,21 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fntwist.annulus
+import fntwist.cli
 import fntwist.twist
 from fntwist import (
     AnnulusCoords,
+    AnnulusEmbedding,
     MobiusMap,
+    SurfaceCoords,
     TwistRangeError,
+    apply_local_twist,
     core_geodesic,
     dehn_twist,
     endpoints,
@@ -518,3 +524,74 @@ class TestDehnTwist:
     def test_rejects_bool(self, m):
         with pytest.raises(TypeError, match="twist count must be an integer, got bool"):
             dehn_twist(UNIT, m)
+
+
+# |trace| = 2 + 1.0005e-12, just past the margin; one twist moves X1 * X2 so that the
+# result's trace, recomputed in doubles, would fall within it
+NEAR_MARGIN = (1.0001e-12, 999900000000.0, 1.0, 1.0)
+# x1 = 1e-12 (1 + u), x2 = (1 + d)/x1: traces within a few ulps of the margin
+near_margin_pairs = st.tuples(st.floats(0.0, 3e-3), st.floats(-1e-7, 1e-7)).map(
+    lambda ud: (1e-12 * (1.0 + ud[0]), (1.0 + ud[1]) / (1e-12 * (1.0 + ud[0]))))
+COUNTED = AnnulusCoords(2, 0.5, 3, 0.25)
+
+
+class TestTraceCheck:
+    def test_results_near_the_margin_are_returned(self):
+        reference = load_benchmark_module("reference")
+        coords = AnnulusCoords(*NEAR_MARGIN)
+        # accuracy this close to the margin is limited by the core; 7.7e-11 measured
+        result = twist_p_form(coords, 1.0)
+        assert reference.max_rel_error(result, reference.twist_reference(coords, 1.0)) < 1e-9
+        for m in (1, -1):
+            result = dehn_twist(coords, m)
+            assert reference.max_rel_error(result, reference.dehn_exact(coords, m)) < 1e-15
+
+    def test_cli_twist_near_the_margin_exits_zero(self, capsys):
+        assert fntwist.cli.main(["twist", "--coords", "1.0001e-12,999900000000,1,1",
+                                 "--t", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["output"] == list(twist_p_form(AnnulusCoords(*NEAR_MARGIN), 1.0))
+
+    @given(near_margin_pairs, st.floats(-5.0, 5.0))
+    @example(NEAR_MARGIN[:2], 1.0)
+    def test_accepted_input_is_never_rejected_by_its_result(self, pair, t):
+        x1, x2 = pair
+        try:
+            length_trace(x1, x2)
+        except ValueError:
+            return  # rejected where L is first computed, before any kernel runs
+        coords = AnnulusCoords(x1, x2, 1, 1)
+        twist_p_form(coords, t)
+        twist_closed_form(coords, t)
+        for m in (1, -1, 2, -2):
+            dehn_twist(coords, m)
+
+    @pytest.mark.parametrize("call, checks", [
+        (lambda: twist_p_form(COUNTED, 0.7), 1),
+        (lambda: twist_closed_form(COUNTED, 0.7), 1),
+        (lambda: twist_oracle(COUNTED, 0.7), 1),
+        (lambda: dehn_twist(COUNTED, 2), 1),
+        # entries 2, 5, 1, 3 are COUNTED
+        (lambda: apply_local_twist(SurfaceCoords((3.0, 2.0, 0.25, 7.0, 0.5)),
+                                   AnnulusEmbedding(2, 5, 1, 3), 0.7), 1),
+        # the kernel's check, then the report's L and trace columns
+        (lambda: fntwist.cli.main(["twist", "--coords", "2,0.5,3,0.25", "--t", "0.7"]) == 0, 2),
+    ], ids=["p-form", "closed-form", "oracle", "dehn", "local-twist", "cli-twist"])
+    def test_trace_is_checked_once_per_call(self, monkeypatch, capsys, call, checks):
+        # the margin is infinite except inside the counting wrapper, so a trace
+        # check made anywhere but in length_trace rejects every input
+        calls, margin = [], fntwist.annulus.HYPERBOLICITY_MARGIN
+
+        def counted(x1, x2):
+            calls.append((x1, x2))
+            fntwist.annulus.HYPERBOLICITY_MARGIN = margin
+            try:
+                return length_trace(x1, x2)
+            finally:
+                fntwist.annulus.HYPERBOLICITY_MARGIN = math.inf
+
+        monkeypatch.setattr(fntwist.annulus, "HYPERBOLICITY_MARGIN", math.inf)
+        for module in (fntwist.annulus, fntwist.twist, fntwist.cli):
+            monkeypatch.setattr(module, "length_trace", counted)
+        assert call()
+        assert calls == [(2.0, 0.5)] * checks  # always the input's X1, X2, never the result's
