@@ -17,11 +17,13 @@ X4 = [1:x4:inf:0].  Arc 2 is read across the lift with endpoints
 from __future__ import annotations
 
 import math
+import sys
 from operator import itemgetter
 
 # length_trace rejects X1, X2 whose holonomy trace is within this margin of
 # the parabolic threshold 2: nearer 2, rounding of the trace dominates L.
 HYPERBOLICITY_MARGIN = 1e-12
+_MIN_NORMAL = sys.float_info.min  # below it, X1 * X2 or a twisted coordinate has lost bits
 
 
 def _coordinate(field, v) -> float:
@@ -38,13 +40,14 @@ def _coordinate(field, v) -> float:
 def length_trace(x1: float, x2: float):
     """(L, |trace|) of the core curve from X1, X2: the one place the trace is checked.
 
-    ValueError naming X1, X2 if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite.
+    ValueError naming X1, X2 if X1 * X2 is below _MIN_NORMAL (the trace would lose digits),
+    or if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite.
     """
-    try:
-        tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
-    except ZeroDivisionError:
-        raise ValueError(f"holonomy trace is out of range: sqrt(X1 * X2) underflows to 0 "
-                         f"for X1 = {x1!r}, X2 = {x2!r}") from None
+    product = x1 * x2
+    if not product >= _MIN_NORMAL:  # subnormal or 0: its square root keeps only some bits
+        raise ValueError(f"holonomy trace is out of range: X1 * X2 = {product!r} is below the "
+                         f"smallest normal double for X1 = {x1!r}, X2 = {x2!r}")
+    tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(product)
     if not 2.0 + HYPERBOLICITY_MARGIN < tr < math.inf:  # one test when valid; fires for nan too
         if tr <= 2.0 + HYPERBOLICITY_MARGIN:
             raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2 "

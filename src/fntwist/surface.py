@@ -16,10 +16,9 @@ from array import array
 from .annulus import _coordinate
 from .twist import twist_p_form
 
-# Blocks hold at least 64 doubles (512 bytes, the largest request CPython's
-# small-object allocator serves): a narrower block is no cheaper to copy, it
-# only means more blocks for every local twist to pass on.
-_MIN_SHIFT = 6
+# Blocks hold 64 doubles, 512 bytes: the largest request CPython's small-object allocator
+# serves.  A narrower block is no cheaper to copy; it only adds references to pass on.
+_SHIFT, _MASK = 6, 63  # entry i sits in block (i - 1) >> 6 at slot (i - 1) & 63
 
 
 class _Frozen:
@@ -54,16 +53,15 @@ class SurfaceCoords(_Frozen):
     """Positive cross-ratio coordinates of a labelled triangulation, indexed 1..n.
 
     The validated entries are stored as doubles in a tuple of `array('d')`
-    blocks of width w = 2**s, s = max(6, n.bit_length() // 2): for n of 4096
-    and up, w is within a factor sqrt(2) of sqrt(n), and a vector of at most
-    64 entries is one block.  Entry i sits in block (i - 1) >> s at slot
-    (i - 1) & (w - 1); only the last block may be shorter.  The results of
-    `apply_local_twist` share blocks with their input, so no block is written
-    after it is built.  `values` builds a new tuple of floats on each read,
-    so a caller reading many entries should hold it in a local.
+    blocks of 64, so a vector of at most 64 entries is one block.  Entry i
+    sits in block (i - 1) >> 6 at slot (i - 1) & 63; only the last block may
+    be shorter.  The results of `apply_local_twist` share blocks with their
+    input, so no block is written after it is built.  `values` builds a new
+    tuple of floats on each read, so a caller reading many entries should
+    hold it in a local.
     """
 
-    __slots__ = ("_blocks", "_shift")
+    __slots__ = ("_blocks",)
     _names = ("values",)
 
     def __init__(self, values):
@@ -73,11 +71,9 @@ class SurfaceCoords(_Frozen):
         entries = array("d", [_coordinate(i, v) for i, v in enumerate(values, start=1)])
         if len(entries) < 4:
             raise ValueError(f"need at least 4 coordinates, got {len(entries)}")
-        shift = max(_MIN_SHIFT, len(entries).bit_length() // 2)
-        width = 1 << shift
+        width = 1 << _SHIFT
         blocks = tuple([entries[k:k + width] for k in range(0, len(entries), width)])
         object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "_shift", shift)
 
     @property
     def values(self):
@@ -85,7 +81,7 @@ class SurfaceCoords(_Frozen):
         return struct.unpack(f"{len(data) >> 3}d", data)  # builds the tuple in one pass
 
     def __len__(self):
-        return ((len(self._blocks) - 1) << self._shift) + len(self._blocks[-1])
+        return ((len(self._blocks) - 1) << _SHIFT) + len(self._blocks[-1])
 
 
 class AnnulusEmbedding(_Frozen):
@@ -114,13 +110,13 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
     the embedding indices.  The result copies each block holding one of the
     four indices (at most four), writes the twisted values into those copies
     and shares every other block with `coords`, whose blocks are never
-    written.  Beyond the twist a call costs O(sqrt(n)) time and memory.
+    written.  Beyond the twist a call copies at most four 512-byte blocks and
+    passes on ceil(n / 64) block references.
     """
-    blocks, shift = coords._blocks, coords._shift
-    mask = (1 << shift) - 1
+    blocks = coords._blocks
     i1, i2, i3, i4 = embedding.i1 - 1, embedding.i2 - 1, embedding.i3 - 1, embedding.i4 - 1
-    k1, k2, k3, k4 = i1 >> shift, i2 >> shift, i3 >> shift, i4 >> shift  # block
-    j1, j2, j3, j4 = i1 & mask, i2 & mask, i3 & mask, i4 & mask  # slot in the block
+    k1, k2, k3, k4 = i1 >> _SHIFT, i2 >> _SHIFT, i3 >> _SHIFT, i4 >> _SHIFT  # block
+    j1, j2, j3, j4 = i1 & _MASK, i2 & _MASK, i3 & _MASK, i4 & _MASK  # slot in the block
     try:
         quad = [blocks[k1][j1], blocks[k2][j2], blocks[k3][j3], blocks[k4][j4]]
     except IndexError:  # the indices are >= 1, so only one past the end gets here
@@ -137,5 +133,4 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
     out[k1][j1], out[k2][j2], out[k3][j3], out[k4][j4] = twisted
     result = object.__new__(SurfaceCoords)  # its entries already pass __init__'s checks
     object.__setattr__(result, "_blocks", tuple(out))
-    object.__setattr__(result, "_shift", shift)
     return result

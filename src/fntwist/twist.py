@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 
-from .annulus import AnnulusCoords, _prevalidated, core_geodesic, endpoints, length_trace
+from .annulus import (_MIN_NORMAL, AnnulusCoords, _prevalidated, core_geodesic, endpoints,
+                      length_trace)
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -88,11 +89,11 @@ def _growth(coords: AnnulusCoords, t, length: float):
 
 
 def _checked(values, coords: AnnulusCoords, name: str, value):
-    """The twisted values, each checked positive and finite; their trace waits for length_trace."""
-    y1, y2, y3, y4 = values  # chained comparisons: False for 0, inf and nan alike
-    if not (0.0 < y1 < math.inf and 0.0 < y2 < math.inf
-            and 0.0 < y3 < math.inf and 0.0 < y4 < math.inf):
-        raise _out_of_range(f"twisted coordinates {values} left the positive finite range",
+    """The twisted values, each checked a finite normal double; length_trace checks their trace."""
+    y1, y2, y3, y4 = values  # chained comparisons: False for subnormals, 0, inf and nan alike
+    if not (_MIN_NORMAL <= y1 < math.inf and _MIN_NORMAL <= y2 < math.inf
+            and _MIN_NORMAL <= y3 < math.inf and _MIN_NORMAL <= y4 < math.inf):
+        raise _out_of_range(f"twisted coordinates {values} left the normal positive finite range",
                             coords, name, value)
     return values
 

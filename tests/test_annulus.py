@@ -53,7 +53,7 @@ class TestAnnulusCoords:
             core_geodesic(AnnulusCoords(1e-13, 1e13, 1, 1))
 
     @pytest.mark.parametrize("x1, x2", [(1e200, 1e200), (1e300, 1e10), (1.5e308, 0.5),
-                                        (1e-200, 1e-200)])
+                                        (1e-200, 1e-200), (3e-162, 1e-162)])
     def test_trace_out_of_range_names_x1_x2(self, x1, x2):
         # the CLI tests pin each full message
         with pytest.raises(ValueError, match=r"^holonomy trace is out of range: ") as info:

@@ -63,14 +63,22 @@ class TestTwistCommand:
          "holonomy trace is out of range: |trace| = inf is not finite "
          "for X1 = 1.5e+308, X2 = 0.5"),
         (["twist", "--coords", "1e-200,1e-200,1,1", "--t", "0.1"],
-         "holonomy trace is out of range: sqrt(X1 * X2) underflows to 0 "
+         "holonomy trace is out of range: X1 * X2 = 0.0 is below the smallest normal double "
          "for X1 = 1e-200, X2 = 1e-200"),
+        (["twist", "--coords", "3e-162,1e-162,1,1", "--t", "0.1"],
+         "holonomy trace is out of range: X1 * X2 = 5e-324 is below the smallest normal double "
+         "for X1 = 3e-162, X2 = 1e-162"),
         (["twist", "--coords", "1e200,1,1,1", "--t", "0.1"],
          "core geodesic discriminant overflows for X1 = 1e+200, X2 = 1.0"),
+        # X1' = 5.6e-316 is subnormal: it kept too few bits to be returned
+        (["twist", "--coords", "1e-300,1e-5,1,1", "--t", "0.05"],
+         "twisted coordinates (5.62341323e-316, 17782794100.38929, 1.0, 1.0) left the normal "
+         "positive finite range for coords (1e-300, 1e-05, 1.0, 1.0), t = 0.05; "
+         "result not representable"),
         (["flow", "--coords", "1e160,1,1,1", "--t", "0.1", "--steps", "2"],
          "core geodesic discriminant overflows for X1 = 1e+160, X2 = 1.0"),
     ], ids=["nan-trace", "nan-trace-overflowed-product", "inf-trace", "underflowed-denominator",
-            "twist-discriminant", "flow-discriminant"])
+            "subnormal-product", "twist-discriminant", "subnormal-result", "flow-discriminant"])
     def test_out_of_range_quadruple_names_x1_x2(self, capsys, argv, message):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

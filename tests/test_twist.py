@@ -309,6 +309,15 @@ class TestLargeParameters:
             with pytest.raises(TwistRangeError, match=r"\(1\.0, 1e\+100, 1\.0, 1\.0\), t = -2\.5"):
                 twist(coords, -2.5)
 
+    @pytest.mark.parametrize("twist", [twist_p_form, twist_closed_form])
+    def test_subnormal_result_is_a_range_error(self, twist):
+        # X1' = 5.6e-316 is subnormal, 3.0e-9 off mpmath: it is refused, not returned
+        with pytest.raises(TwistRangeError) as info:
+            twist(AnnulusCoords(1e-300, 1e-5, 1, 1), 0.05)
+        assert str(info.value).startswith("twisted coordinates (5.62341323e-316, ")
+        assert str(info.value).endswith("for coords (1e-300, 1e-05, 1.0, 1.0), t = 0.05; "
+                                        "result not representable")
+
     def test_vanishing_axis_gap_is_a_range_error(self):
         # p1 rounds to 1, so x1 + p2 is 0 and the squared axis gap underflows
         coords = AnnulusCoords(2.3647617156901504e-12, 2.78013075470335e-12,
@@ -432,6 +441,13 @@ class TestOracle:
         too_far = 651.0 / core_geodesic(UNIT)[0]
         with pytest.raises(TwistRangeError, match=rf"\(1\.0, 1\.0, 1\.0, 1\.0\), t = {too_far!r}"):
             twist_oracle(UNIT, too_far)
+
+    def test_tiny_first_coordinate_is_a_range_error(self):
+        # x1 * x1 * x2 / (x1 + p1) underflows to 0 below X1 of about 1e-162; p-form returns here
+        with pytest.raises(TwistRangeError) as info:
+            twist_oracle(AnnulusCoords(1e-200, 1, 1, 1), 0.1)
+        assert str(info.value) == ("a vertex gap vanished for coords (1e-200, 1.0, 1.0, 1.0), "
+                                   "t = 0.1; result not representable")
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):
