@@ -63,6 +63,14 @@ class AnnulusCoords(tuple):
     __slots__ = ()
 
     def __new__(cls, x1, x2, x3, x4):  # each entry becomes a float, checked positive and finite
+        try:  # valid entries: one conversion and one range test for all four
+            y1, y2, y3, y4 = values = float(x1), float(x2), float(x3), float(x4)
+        except Exception:  # whatever float() raised: the per-field checks below raise in order
+            pass
+        else:
+            if (0.0 < y1 < math.inf and 0.0 < y2 < math.inf and 0.0 < y3 < math.inf
+                    and 0.0 < y4 < math.inf):  # False for nan, inf, 0 and below
+                return tuple.__new__(cls, values)
         return tuple.__new__(cls, (_coordinate("X1", x1), _coordinate("X2", x2),
                                    _coordinate("X3", x3), _coordinate("X4", x4)))
 

@@ -136,17 +136,21 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     once and every sample is twisted from them.  Length and trace are still
     recomputed from each sample's own X1, X2, so the emitted rows exhibit,
     rather than assume, their invariance.  A span whose end is past the
-    |t| L cap, or not finite, raises before any sample is computed.
+    |t| L cap, or not finite, raises before any sample is computed.  A
+    sample's ValueError gets its t and the input coords appended.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
     core = core_geodesic(coords)
     t_max = _growth(coords, t_max, core[0])[0]
     samples = []
-    for i in range(steps + 1):
-        t = i * t_max / steps
-        point = twist_from_core(coords, core, t)
-        samples.append((t, *point, *length_trace(point[0], point[1])))
+    try:
+        for i in range(steps + 1):
+            t = i * t_max / steps
+            point = twist_from_core(coords, core, t)
+            samples.append((t, *point, *length_trace(point[0], point[1])))
+    except ValueError as exc:  # a sample's own X1, X2 failed the trace check
+        raise type(exc)(f"{exc}; flow sample at t = {t!r} from coords {tuple(coords)}") from None
     return samples
 
 

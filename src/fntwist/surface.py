@@ -13,8 +13,8 @@ from __future__ import annotations
 import struct
 from array import array
 
-from .annulus import _coordinate
-from .twist import twist_p_form
+from .annulus import _coordinate, core_geodesic
+from .twist import twist_from_core
 
 # Blocks hold 64 doubles, 512 bytes: the largest request CPython's small-object allocator
 # serves.  A narrower block is no cheaper to copy; it only adds references to pass on.
@@ -84,6 +84,9 @@ class SurfaceCoords(_Frozen):
         return ((len(self._blocks) - 1) << _SHIFT) + len(self._blocks[-1])
 
 
+_new_object, _set_blocks = object.__new__, SurfaceCoords._blocks.__set__  # apply_local_twist's
+
+
 class AnnulusEmbedding(_Frozen):
     """1-based indices of the arcs playing the four annulus roles."""
 
@@ -123,14 +126,14 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
         idx = embedding.as_tuple()
         raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}"
                          f"; embedding indices {idx}") from None
-    try:
-        twisted = twist_p_form(quad, t)
+    try:  # twist_p_form's two halves, without building an AnnulusCoords to unpack
+        twisted = twist_from_core(quad, core_geodesic(quad), t)
     except (ValueError, OverflowError) as exc:  # TwistRangeError is an OverflowError
         raise type(exc)(f"{exc}; embedding indices {embedding.as_tuple()}") from None
     out = list(blocks)
     for k in {k1, k2, k3, k4}:  # each written block is copied once
         out[k] = blocks[k][:]
     out[k1][j1], out[k2][j2], out[k3][j3], out[k4][j4] = twisted
-    result = object.__new__(SurfaceCoords)  # its entries already pass __init__'s checks
-    object.__setattr__(result, "_blocks", tuple(out))
+    result = _new_object(SurfaceCoords)  # its entries already pass __init__'s checks
+    _set_blocks(result, tuple(out))
     return result

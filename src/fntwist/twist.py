@@ -2,9 +2,10 @@
 
 Three independent routes compute the twisted quadruple:
 
-* twist_p_form, the one route production code calls, a rational function
-  of e^(t L) and the axis endpoints p1, p2 taken from the quadratic route;
-  its second half, twist_from_core, lets a trajectory reuse one core;
+* twist_p_form, the one production route, a rational function of e^(t L)
+  and the axis endpoints p1, p2 taken from the quadratic route; callers
+  that need no AnnulusCoords (a flow, a local twist) call its two halves,
+  core_geodesic and twist_from_core, and a trajectory reuses one core;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
 * twist_oracle, a first-principles check that shares only p1, p2 and L
@@ -14,8 +15,9 @@ Three independent routes compute the twisted quadruple:
 
 _growth owns t: it converts, checks and caps it and returns it with the scale
 pair (moved, fixed), moved / fixed = e^(t L), so each route writes each gap
-A e^(t L) - B once, as A moved - B fixed.  stratum_map's det-1 diagonal takes
-its own e^(+/- t L/2): scaling (moved, fixed) to det 1 loses range.
+A e^(t L) - B once, as A moved - B fixed (twist_from_core, the hot path, takes
+the pair inline for a plain float t).  stratum_map's det-1 diagonal takes its
+own e^(+/- t L/2): scaling (moved, fixed) to det 1 loses range.
 
 At integer parameters the flow is a power of the Dehn twist, a rational
 map implemented separately in dehn_twist.  All routes accept negative t;
@@ -102,10 +104,17 @@ def twist_from_core(coords: AnnulusCoords, core, t):
     """The twisted quadruple as a 4-tuple, given core = core_geodesic(coords).
 
     The invariants depend only on the start, so a trajectory computes them
-    once and calls this for every t.
+    once and calls this for every t.  A plain float t within the cap takes
+    _growth's scale pair inline; any other t goes through _growth.
     """
     length, _, p1, p2 = core
-    t, moved, fixed = _growth(coords, t, length)
+    if type(t) is float and abs(s := t * length) <= MAX_TWIST_LENGTH:  # False for nan too
+        if s <= _SHIFT_THRESHOLD:  # _growth's two branches, bit for bit
+            moved, fixed = math.exp(s), 1.0
+        else:
+            moved, fixed = 1.0, math.exp(-s)
+    else:
+        t, moved, fixed = _growth(coords, t, length)
     x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
     # x1 + p2 and p2 are negative, so both gaps are sums of like-signed
@@ -118,12 +127,16 @@ def twist_from_core(coords: AnnulusCoords, core, t):
     except ZeroDivisionError:  # p1 rounded to 1, so x1 + p2 is 0 and the gap's square underflows
         raise _out_of_range("the axis gap vanished", coords, "t", t) from None
     ratio = axis_gap / edge2_gap
-    return _checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t)
+    y3, y4 = x3 * ratio, x4 * ratio
+    if (_MIN_NORMAL <= y1 < math.inf and _MIN_NORMAL <= y2 < math.inf
+            and _MIN_NORMAL <= y3 < math.inf and _MIN_NORMAL <= y4 < math.inf):
+        return y1, y2, y3, y4
+    return _checked((y1, y2, y3, y4), coords, "t", t)  # raises
 
 
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist four positive finite floats by t core lengths; core_geodesic checks their trace."""
-    return _prevalidated(twist_from_core(coords, core_geodesic(coords), t))
+    return tuple.__new__(AnnulusCoords, twist_from_core(coords, core_geodesic(coords), t))
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
@@ -220,4 +233,4 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
             x1, x2, x3, x4 = 1.0 / x2, x1 * (1.0 + x2) ** 2, shrink * x3, shrink * x4
     except ArithmeticError as exc:  # a coordinate reached 0 or overflowed mid-iteration
         raise _out_of_range(f"Dehn iteration raised {type(exc).__name__}", coords, "m", m) from None
-    return _prevalidated(_checked((x1, x2, x3, x4), coords, "m", m))
+    return tuple.__new__(AnnulusCoords, _checked((x1, x2, x3, x4), coords, "m", m))

@@ -3,7 +3,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fntwist import (
@@ -15,11 +15,35 @@ from fntwist import (
     endpoints,
     random_coords,
 )
-from util import (coords_from_endpoints_reference, exponential_fixed_points, holonomy_f2,
-                  max_rel, rel_err)
+from fntwist.annulus import _coordinate
+from util import (FloatSubclass, coords_from_endpoints_reference, exponential_fixed_points,
+                  holonomy_f2, max_rel, rel_err)
 
 coord_values = st.floats(0.1, 10.0)
 coord_quadruples = st.builds(AnnulusCoords, coord_values, coord_values, coord_values, coord_values)
+# valid and invalid entries of every kind a caller may pass to AnnulusCoords
+mixed_entries = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 10**6),
+    st.floats(0.1, 10.0).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(FloatSubclass),
+    st.sampled_from([0, -1, 0.0, -0.0, math.nan, math.inf, -math.inf, None, "x", " 2.5 ",
+                     "nan", "-inf", True, 10**400, -10**400]),
+)
+
+
+class Unconvertible:
+    def __float__(self):
+        raise RuntimeError("no float")
+
+
+def by_fields(quadruple):
+    """What four _coordinate calls in order X1..X4 give: the floats' bits, or the error."""
+    try:
+        return [_coordinate(f"X{k}", v).hex() for k, v in enumerate(quadruple, start=1)]
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestAnnulusCoords:
@@ -88,6 +112,21 @@ class TestAnnulusCoords:
         with pytest.raises(ValueError) as info:
             AnnulusCoords(1.0, 1.0, value, 1.0)
         assert str(info.value) == message
+
+    @given(st.tuples(mixed_entries, mixed_entries, mixed_entries, mixed_entries))
+    @example((-1, 10**400, 1, 1))  # X1's ValueError, not the OverflowError of X2's float()
+    @example((1, 10**400, -1, 1))
+    @example((FloatSubclass(2.0), "3", 4, True))
+    @example((-1, Unconvertible(), 1, 1))  # X1's error, not the later conversion's
+    @example((1, Unconvertible(), 1, 1))
+    def test_constructor_matches_per_field_checks(self, quadruple):
+        try:
+            coords = AnnulusCoords(*quadruple)
+        except Exception as exc:
+            assert by_fields(quadruple) == (type(exc), str(exc))
+        else:
+            assert type(coords) is AnnulusCoords and all(type(v) is float for v in coords)
+            assert by_fields(quadruple) == [v.hex() for v in coords]
 
     def test_first_invalid_coordinate_is_reported(self):
         with pytest.raises(ValueError, match=r"^coordinate X2 must be finite"):

@@ -190,6 +190,16 @@ class TestFlowCommand:
         assert err.startswith("error: |t| * L = ") and err.count("\n") == 1
         assert "coords (1.0, 1.0, 1.0, 1.0), t = 400.0;" in err
 
+    def test_rejected_sample_names_its_t_and_the_input(self, capsys):
+        # the input passes the trace check; its t = 0 sample rounds to within the margin
+        argv = ["flow", "--coords", "1.0001e-12,999900000000,1,1", "--t", "1", "--steps", "10"]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: holonomy is not hyperbolic: |trace| = 2.000000000001 is too close "
+                       "to 2 for X1 = 1.0000999999999997e-12, X2 = 999900000000.0004; flow sample "
+                       "at t = 0.0 from coords (1.0001e-12, 999900000000.0, 1.0, 1.0)\n")
+
     def test_readme_example_matches_golden_digests(self, tmp_path):
         golden = ROOT / "benchmarks" / "golden_sha256.json"
         recorded = json.loads(golden.read_text())

@@ -16,13 +16,34 @@ from fntwist import (
     twist_p_form,
 )
 from fntwist.surface import _SHIFT
-from util import max_rel
+from util import FloatSubclass, max_rel
 
 VECTOR = SurfaceCoords((1.0, 1.0, 1.0, 1.0, 5.0, 7.0))
 FRONT = AnnulusEmbedding(1, 2, 3, 4)
 # 150 entries are three blocks of 64, 64 and 22; the embedding writes all three
 THREE_BLOCKS = tuple([1.0 + (k % 7) / 4.0 for k in range(150)])
 TWISTED = apply_local_twist(SurfaceCoords(THREE_BLOCKS), AnnulusEmbedding(1, 64, 65, 150), 0.6)
+
+# frozen float.hex of the four entries apply_local_twist writes into THREE_BLOCKS; at
+# 10, 20, 30, 40 the core length is 2.09, so |t| L = 251 and 314 sit on both sides of 300
+LOCAL_TWIST_BITS = [
+    ((1, 64, 65, 150), 0.6,
+     "0x1.eaeccb20079c6p-2 0x1.9d67db115c513p-1 0x1.0129d4705f103p+1 0x1.34989886d879ep+1"),
+    ((150, 2, 99, 3), -1.25,
+     "0x1.13fc777c11675p-1 0x1.928dabb643dc1p+3 0x1.0d3b25aa0b6c5p-1 0x1.93d8b87f11228p-1"),
+    ((5, 6, 7, 8), 2,
+     "0x1.ffffffffffffcp-4 0x1.0000000000004p+0 0x1.dffffffffffffp+3 0x1.7ffffffffffffp+2"),
+    ((70, 71, 1, 140), FloatSubclass(-0.3),
+     "0x1.427a0aa8ee166p+1 0x1.e38273a11a3c5p+0 0x1.731e77abb9cf9p-1 0x1.cfe61596a8437p+0"),
+    ((10, 20, 30, 40), 120.0,
+     "0x1.f6149e939726fp-360 0x1.01b99f3887e41p+356 0x1.a25f07804d544p+2 0x1.4eb26c66a4436p+3"),
+    ((10, 20, 30, 40), -120.0,
+     "0x1.cf90fc2b8a658p-361 0x1.1e673817226aap+363 0x1.9d07c3fd955eap-1 0x1.4a6c9ccadde55p+0"),
+    ((10, 20, 30, 40), 150.0,
+     "0x1.557d7a70c7f02p-450 0x1.7aec7f5e4c65ep+446 0x1.a25f07804d544p+2 0x1.4eb26c66a4436p+3"),
+    ((10, 20, 30, 40), -150.0,
+     "0x1.3b4b725645984p-451 0x1.a51694ac7278fp+453 0x1.9d07c3fd955eap-1 0x1.4a6c9ccadde55p+0"),
+]
 
 
 # the documented layout: blocks of 64 entries at every n
@@ -202,6 +223,13 @@ class TestApplyLocalTwist:
         out = apply_local_twist(vec, AnnulusEmbedding(5, 1, 6, 2), 1.25)
         assert out.values != before
         assert vec.values == before and vec == SurfaceCoords(before)
+
+    @pytest.mark.parametrize("indices, t, expected", LOCAL_TWIST_BITS)
+    def test_twisted_entries_keep_their_bits(self, indices, t, expected):
+        out = apply_local_twist(SurfaceCoords(THREE_BLOCKS), AnnulusEmbedding(*indices), t)
+        values = out.values
+        assert type(out) is SurfaceCoords and len(values) == len(THREE_BLOCKS)
+        assert " ".join([values[i - 1].hex() for i in indices]) == expected
 
     def test_zero_twist_unchanged(self):
         assert apply_local_twist(VECTOR, FRONT, 0.0).values == pytest.approx(

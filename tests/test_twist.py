@@ -28,7 +28,7 @@ from fntwist.annulus import length_trace
 from fntwist.cli import sample_flow
 from fntwist.sampling import Lcg, random_coords
 from fntwist.twist import twist_from_core
-from util import holonomy_f2, load_benchmark_module, max_rel, rel_err
+from util import FloatSubclass, holonomy_f2, load_benchmark_module, max_rel, rel_err
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
 DEHN_OF_UNIT = (0.25, 1.0, 2.0, 2.0)
@@ -358,6 +358,110 @@ class TestLargeParameters:
         for s, pinned in PINNED_ACROSS_BRANCH[quadruple].items():
             for route, expected in zip((twist_p_form, twist_closed_form, twist_oracle), pinned):
                 assert route(coords, s / length).as_tuple() == expected, (route.__name__, s)
+
+
+# frozen float.hex of twist_p_form outputs; t = s / L for |s| = 299.5, 300.5 (both sides
+# of the 300 switch) and 649.99 (near the cap), then an int t, a float-subclass t and 0
+P_FORM_BITS = [
+    ((1.0, 1.0, 1.0, 1.0), 155.5967582274727,
+     "0x1.cc40754a8a9f6p-432 0x1.4c64ffd1f01bfp+428 0x1.4f1bbcdcbfa55p+1 0x1.4f1bbcdcbfa55p+1"),
+    ((1.0, 1.0, 1.0, 1.0), 156.11627995778144,
+     "0x1.52a264437db43p-433 0x1.c3c56079d92efp+429 0x1.4f1bbcdcbfa55p+1 0x1.4f1bbcdcbfa55p+1"),
+    ((1.0, 1.0, 1.0, 1.0), -156.11627995778144,
+     "0x1.22211915adc46p-430 0x1.830f81351ee62p+432 0x1.8722191a02d61p-2 0x1.8722191a02d61p-2"),
+    ((1.0, 1.0, 1.0, 1.0), 337.68392948338885,
+     "0x1.254595fae52a5p-937 0x1.04d32b9618045p+934 0x1.4f1bbcdcbfa55p+1 0x1.4f1bbcdcbfa55p+1"),
+    ((1.0, 1.0, 1.0, 1.0), -337.68392948338885,
+     "0x1.f6875b7277f63p-935 0x1.beee1a32f87eap+936 0x1.8722191a02d61p-2 0x1.8722191a02d61p-2"),
+    ((1.0, 1.0, 1.0, 1.0), 3,
+     "0x1.83c977ab2bedap-8 0x1.9000000000002p+4 0x1.4cccccccccccdp+1 0x1.4cccccccccccdp+1"),
+    ((1.0, 1.0, 1.0, 1.0), FloatSubclass(0.7),
+     "0x1.a4a47629c4a78p-2 0x1.a8f6d4c03a955p-1 0x1.b66c0071b3aadp+0 0x1.b66c0071b3aadp+0"),
+    ((1.0, 1.0, 1.0, 1.0), 0.0,
+     "0x1.ffffffffffffep-1 0x1.0000000000001p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"),
+    ((2.0, 0.5, 3.0, 0.25), 113.709026195656,
+     "0x1.8370a45cd737cp-431 0x1.849fe95ab61e4p+426 0x1.6646e17211cc0p+3 0x1.ddb3d742c2655p-1"),
+    ((2.0, 0.5, 3.0, 0.25), 114.0886890544061,
+     "0x1.1d0ffb3b55d0fp-432 0x1.08190ba763867p+428 0x1.6646e17211cc0p+3 0x1.ddb3d742c2655p-1"),
+    ((2.0, 0.5, 3.0, 0.25), -114.0886890544061,
+     "0x1.f04d0995913dep-429 0x1.cbcd10d705d56p+431 0x1.9b91e8dee3401p-1 0x1.126145e9ecd56p-4"),
+    ((2.0, 0.5, 3.0, 0.25), 246.77706155897977,
+     "0x1.edc0a3ebe5b2dp-937 0x1.30f2a30ce3e02p+932 0x1.6646e17211cc0p+3 0x1.ddb3d742c2655p-1"),
+    ((2.0, 0.5, 3.0, 0.25), -246.77706155897977,
+     "0x1.add15ce89c3f3p-933 0x1.0975ffc05b973p+936 0x1.9b91e8dee3401p-1 0x1.126145e9ecd56p-4"),
+    ((2.0, 0.5, 3.0, 0.25), 3,
+     "0x1.37e3fa847e18fp-10 0x1.e3ffffffffff9p+5 0x1.65d1745d1745dp+3 0x1.dd1745d1745d1p-1"),
+    ((2.0, 0.5, 3.0, 0.25), FloatSubclass(0.7),
+     "0x1.df72b1d1b25adp-2 0x1.6d90e9d7b0982p-2 0x1.d59ef7bdb581cp+2 0x1.3914a52923abdp-1"),
+    ((1e-08, 300000.0, 0.7, 12.0), 51.55665809313706,
+     "0x1.4373dd86a3e77p-459 0x1.373708e6bd592p+450 0x1.666666a2b5e19p-1 0x1.800000409e4d2p+3"),
+    ((1e-08, 300000.0, 0.7, 12.0), 51.7288005241659,
+     "0x1.dbf75bdc076e8p-461 0x1.a6fc29bcba4fep+451 0x1.666666a2b5e19p-1 0x1.800000409e4d2p+3"),
+    ((1e-08, 300000.0, 0.7, 12.0), -51.7288005241659,
+     "0x1.ba9a6ea3d8717p-391 0x1.8198f04c70286p+398 0x1.13404e7657387p-9 0x1.26e978a35d736p-5"),
+    ((1e-08, 300000.0, 0.7, 12.0), 111.8908587444346,
+     "0x1.9c3505cd3cf53p-965 0x1.e869469eb0f21p+955 0x1.666666a2b5e19p-1 0x1.800000409e4d2p+3"),
+    ((1e-08, 300000.0, 0.7, 12.0), -111.8908587444346,
+     "0x1.7f50370a71989p-895 0x1.bd3d99716b8abp+902 0x1.13404e7657387p-9 0x1.26e978a35d736p-5"),
+    ((1e-08, 300000.0, 0.7, 12.0), 3,
+     "0x1.3749edfac1051p-52 0x1.43603b6f8fc79p+43 0x1.666666a2b5e18p-1 0x1.800000409e4d1p+3"),
+    ((1e-08, 300000.0, 0.7, 12.0), FloatSubclass(0.7),
+     "0x1.78e3db967362dp-33 0x1.0b16da7cd2195p+24 0x1.666666a1ad43bp-1 0x1.8000003f82c89p+3"),
+    ((1e-08, 300000.0, 0.7, 12.0), 0.0,
+     "0x1.5798ee2308c3ap-27 0x1.24f8000000001p+18 0x1.6666666666666p-1 0x1.8000000000000p+3"),
+]
+# frozen float.hex of dehn_twist outputs for m = +/-1, +/-7
+DEHN_BITS = [
+    ((1.0, 1.0, 1.0, 1.0), 1,
+     "0x1.0000000000000p-2 0x1.0000000000000p+0 0x1.0000000000000p+1 0x1.0000000000000p+1"),
+    ((1.0, 1.0, 1.0, 1.0), -1,
+     "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.0000000000000p-1 0x1.0000000000000p-1"),
+    ((1.0, 1.0, 1.0, 1.0), 7,
+     "0x1.68b410c3ce7f6p-19 0x1.a822000000001p+15 0x1.4f1b77c278dbdp+1 0x1.4f1b77c278dbdp+1"),
+    ((1.0, 1.0, 1.0, 1.0), -7,
+     "0x1.350907ba8cd08p-16 0x1.6b61000000000p+18 0x1.872269c1e3767p-2 0x1.872269c1e3767p-2"),
+    ((2.0, 0.5, 3.0, 0.25), 1,
+     "0x1.c71c71c71c71cp-3 0x1.0000000000000p-1 0x1.2000000000000p+3 0x1.8000000000000p-1"),
+    ((2.0, 0.5, 3.0, 0.25), -1,
+     "0x1.0000000000000p+1 0x1.2000000000000p+2 0x1.0000000000000p+0 0x1.5555555555555p-4"),
+    ((2.0, 0.5, 3.0, 0.25), 7,
+     "0x1.0f9e1a389fa3dp-25 0x1.152ba3ffffffcp+21 0x1.6646e0a54d011p+3 0x1.ddb3d631bc018p-1"),
+    ((2.0, 0.5, 3.0, 0.25), -7,
+     "0x1.d8e4a168d2b4ap-22 0x1.e28f908000000p+24 0x1.9b91e9ca1d8cbp-1 0x1.12614686be5dcp-4"),
+]
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("quadruple, t, expected", P_FORM_BITS)
+    def test_p_form_keeps_its_bits(self, quadruple, t, expected):
+        result = twist_p_form(AnnulusCoords(*quadruple), t)
+        assert type(result) is AnnulusCoords
+        assert " ".join([x.hex() for x in result]) == expected
+
+    @pytest.mark.parametrize("quadruple, m, expected", DEHN_BITS)
+    def test_dehn_twist_keeps_its_bits(self, quadruple, m, expected):
+        result = dehn_twist(AnnulusCoords(*quadruple), m)
+        assert type(result) is AnnulusCoords
+        assert " ".join([x.hex() for x in result]) == expected
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("s", [299.5, 300.0, 300.5, 649.99, 650.0])
+    @pytest.mark.parametrize("quadruple", list(dict.fromkeys(q for q, _, _ in P_FORM_BITS)))
+    def test_plain_float_path_matches_growth(self, quadruple, s, sign):
+        # a float subclass goes through _growth; a plain float within the cap takes the
+        # scale pair inline, so both must give the same bits or the same error at every
+        # float next to the 300 switch and the 650 cap
+        coords = AnnulusCoords(*quadruple)
+        core = core_geodesic(coords)
+        near = sign * s / core[0]
+        for t in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
+            outcomes = []
+            for arg in (t, FloatSubclass(t)):
+                try:
+                    outcomes.append(tuple(x.hex() for x in twist_from_core(coords, core, arg)))
+                except TwistRangeError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], t
 
 
 # every entry point that takes a twist parameter, as f(coords, t)

@@ -25,6 +25,10 @@ ARC_QUADRUPLES = {
 }
 
 
+class FloatSubclass(float):
+    """A number the library must convert with float(): it never takes a plain-float path."""
+
+
 def load_benchmark_module(name: str):
     """benchmarks/<name>.py as a fresh module object, not entered in sys.modules."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCHMARKS / f"{name}.py")
