@@ -89,11 +89,6 @@ class AnnulusCoords(tuple):
         return tuple(self)
 
 
-def _prevalidated(values) -> AnnulusCoords:
-    """AnnulusCoords of four floats the caller has proved positive and finite."""
-    return tuple.__new__(AnnulusCoords, values)
-
-
 def endpoints(coords: AnnulusCoords):
     """Boundary endpoints (x1, x2, x3, x4) of the fundamental domain, 0, 1, inf pinned.
 
@@ -113,9 +108,10 @@ def core_geodesic(coords: AnnulusCoords):
     """
     x1, x2, _, _ = coords
     length, tr = length_trace(x1, x2)
-    lin = x1 * (x2 + 1.0) - 1.0
+    spread = x1 * (x2 + 1.0)
+    lin = spread - 1.0
     try:
-        disc = (x1 * (x2 + 1.0) + 1.0) ** 2 - 4.0 * x1 * x2
+        disc = (spread + 1.0) ** 2 - 4.0 * x1 * x2
     except OverflowError:  # the square passes the double range once X1 * (X2 + 1) nears 1.3e154
         raise OverflowError("core geodesic discriminant overflows "
                             f"for X1 = {x1!r}, X2 = {x2!r}") from None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .annulus import AnnulusCoords, _prevalidated
+from .annulus import AnnulusCoords
 
 _MULTIPLIER = 6364136223846793005
 _INCREMENT = 1442695040888963407
@@ -47,4 +47,4 @@ def random_coords(rng: Lcg) -> AnnulusCoords:
         state = (_MULTIPLIER * state + _INCREMENT) & _MASK
         values.append(math.exp(_LOG_LO + (_LOG_HI - _LOG_LO) * ((state >> 11) * _SCALE)))
     rng.state = state
-    return _prevalidated(values)  # each is exp of a finite float: positive and finite
+    return tuple.__new__(AnnulusCoords, values)  # each is exp of a finite float: positive, finite

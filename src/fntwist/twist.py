@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .annulus import (_MIN_NORMAL, AnnulusCoords, _prevalidated, core_geodesic, endpoints,
-                      length_trace)
+from .annulus import _MIN_NORMAL, AnnulusCoords, core_geodesic, endpoints, length_trace
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -90,14 +89,14 @@ def _growth(coords: AnnulusCoords, t, length: float):
     return t, 1.0, math.exp(-s)
 
 
-def _checked(values, coords: AnnulusCoords, name: str, value):
-    """The twisted values, each checked a finite normal double; length_trace checks their trace."""
+def _checked(values, coords: AnnulusCoords, name: str, value) -> AnnulusCoords:
+    """The twisted values as AnnulusCoords, each checked a finite normal double, not their trace."""
     y1, y2, y3, y4 = values  # chained comparisons: False for subnormals, 0, inf and nan alike
     if not (_MIN_NORMAL <= y1 < math.inf and _MIN_NORMAL <= y2 < math.inf
             and _MIN_NORMAL <= y3 < math.inf and _MIN_NORMAL <= y4 < math.inf):
         raise _out_of_range(f"twisted coordinates {values} left the normal positive finite range",
                             coords, name, value)
-    return values
+    return tuple.__new__(AnnulusCoords, values)
 
 
 def twist_from_core(coords: AnnulusCoords, core, t):
@@ -117,14 +116,18 @@ def twist_from_core(coords: AnnulusCoords, core, t):
         t, moved, fixed = _growth(coords, t, length)
     x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
-    # x1 + p2 and p2 are negative, so both gaps are sums of like-signed
-    # terms and the evaluation is cancellation-free for every t
-    axis_gap = (x1 + p1) * moved - (x1 + p2) * fixed
+    # x1 + p2 < 0 < x1 + p1, so both gaps add like-signed terms.  x1 + p2 cancels
+    # as p1 nears 1 (|x1 + p2| = |1 - p1| |p2|); there it is -x1^2 x2 / (x1 + p1),
+    # as (x1 + p1)(x1 + p2) is core_geodesic's quadratic at -x1, namely -x1^2 x2
+    neg = x1 + p2
+    if not -neg >= -1e-3 * p2:  # |1 - p1| < 1e-3, or nan
+        neg = -(x1 * x1 * x2 / (x1 + p1))
+    axis_gap = (x1 + p1) * moved - neg * fixed
     edge2_gap = p1 * moved - p2 * fixed
     try:
         y1 = x1 * axis_sq * moved * fixed / (axis_gap * axis_gap)
         y2 = x2 * edge2_gap * edge2_gap / (axis_sq * moved * fixed)
-    except ZeroDivisionError:  # p1 rounded to 1, so x1 + p2 is 0 and the gap's square underflows
+    except ZeroDivisionError:  # the axis gap's square underflowed to 0
         raise _out_of_range("the axis gap vanished", coords, "t", t) from None
     ratio = axis_gap / edge2_gap
     y3, y4 = x3 * ratio, x4 * ratio
@@ -160,7 +163,7 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     except ZeroDivisionError:  # outer * outer or scale * moved * fixed underflowed
         raise _out_of_range("a closed-form denominator vanished", coords, "t", t) from None
     ratio = outer / inner
-    return _prevalidated(_checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t))
+    return _checked((y1, y2, x3 * ratio, x4 * ratio), coords, "t", t)
 
 
 def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
@@ -205,7 +208,7 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
         y4 = (m0 - f_one) / (m0 - fixed) * d_inf_4 / d4_one
     except ZeroDivisionError:  # a gap underflowed
         raise _out_of_range("a vertex gap vanished", coords, "t", t) from None
-    return _prevalidated(_checked((y1, y2, y3, y4), coords, "t", t))
+    return _checked((y1, y2, y3, y4), coords, "t", t)
 
 
 def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
@@ -233,4 +236,4 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
             x1, x2, x3, x4 = 1.0 / x2, x1 * (1.0 + x2) ** 2, shrink * x3, shrink * x4
     except ArithmeticError as exc:  # a coordinate reached 0 or overflowed mid-iteration
         raise _out_of_range(f"Dehn iteration raised {type(exc).__name__}", coords, "m", m) from None
-    return tuple.__new__(AnnulusCoords, _checked((x1, x2, x3, x4), coords, "m", m))
+    return _checked((x1, x2, x3, x4), coords, "m", m)

@@ -90,11 +90,19 @@ class TestTwistCommand:
         assert "X1 = 1e-12, X2 = 1000000000000.0" in err
 
     def test_vanishing_axis_gap_exit_one(self, capsys):
-        coords = "2.3647617156901504e-12,2.78013075470335e-12,3.2912851745561317e-10,657824.7683302268"
-        assert run(["twist", "--coords", coords, "--t", "-8.04826917421387"]) == 1
+        coords = ("6.927466975807279e-260,1.6092792496758436e+53,"
+                  "1.6095569403158126e-128,1.3035491324448617e+186")
+        assert run(["twist", "--coords", coords, "--t", "-1.246898869987229"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the axis gap vanished") and err.count("\n") == 1
-        assert f"({coords.replace(',', ', ')}), t = -8.04826917421387" in err
+        assert f"({coords.replace(',', ', ')}), t = -1.246898869987229" in err
+
+    def test_cancelling_axis_gap_exit_zero(self, capsys):
+        # p1 rounds to 1 and x1 + p2 to 0; the guarded identity gives the axis gap
+        coords = "2.3647617156901504e-12,2.78013075470335e-12,3.2912851745561317e-10,657824.7683302268"
+        assert run(["twist", "--coords", coords, "--t", "-8.04826917421387"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(json.loads(captured.out)["output"]) == 4
 
     def test_wrong_arity_exit_one(self, capsys):
         assert run(["twist", "--coords", "1,2,3"]) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -319,12 +320,23 @@ class TestLargeParameters:
                                         "result not representable")
 
     def test_vanishing_axis_gap_is_a_range_error(self):
-        # p1 rounds to 1, so x1 + p2 is 0 and the squared axis gap underflows
-        coords = AnnulusCoords(2.3647617156901504e-12, 2.78013075470335e-12,
-                               3.2912851745561317e-10, 657824.7683302268)
+        # the squared axis gap underflows to 0
+        coords = AnnulusCoords(6.927466975807279e-260, 1.6092792496758436e+53,
+                               1.6095569403158126e-128, 1.3035491324448617e+186)
         with pytest.raises(TwistRangeError, match="axis gap vanished") as info:
-            twist_p_form(coords, -8.04826917421387)
-        assert f"{coords.as_tuple()}, t = -8.04826917421387" in str(info.value)
+            twist_p_form(coords, -1.246898869987229)
+        assert f"{coords.as_tuple()}, t = -1.246898869987229" in str(info.value)
+
+    @pytest.mark.parametrize("coords, t", [
+        # p1 rounds to 1, so x1 + p2 evaluates to 0
+        ((2.3647617156901504e-12, 2.78013075470335e-12, 3.2912851745561317e-10,
+          657824.7683302268), -8.04826917421387),
+        # x1 + p2 is about -1e-28 and cancels: unguarded, X1' is 1.0e44 where mpmath gives 1.0e-8
+        ((1e-10, 1e-8, 1.0, 1.0), -3.0),
+    ])
+    def test_cancelling_axis_gap_matches_mpmath_reference(self, coords, t):
+        exact = load_benchmark_module("reference").twist_reference(coords, t)
+        assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-13
 
     def test_closed_form_underflow_is_a_range_error(self):
         # outer * outer underflows to 0; p-form returns a value here
@@ -715,3 +727,37 @@ class TestTraceCheck:
             monkeypatch.setattr(module, "length_trace", counted)
         assert call()
         assert calls == [(2.0, 0.5)] * checks  # always the input's X1, X2, never the result's
+
+
+class TestDocumentedDomain:
+    # every positive quadruple in [1e-12, 1e12]^4 and every |t L| below the 650 cap
+    def test_p_form_matches_mpmath_reference(self):
+        reference = load_benchmark_module("reference")
+        rng, log_lo, log_hi = random.Random(12345), math.log(1e-12), math.log(1e12)
+        far = []
+        for _ in range(2000):
+            coords = tuple(math.exp(rng.uniform(log_lo, log_hi)) for _ in range(4))
+            t = rng.uniform(-649.9, 649.9) / reference.core_length(coords)
+            result = twist_p_form(AnnulusCoords(*coords), t)  # no draw may raise
+            # nearer the parabolic limit, rounding of the trace dominates L (the xfails below)
+            if length_trace(coords[0], coords[1])[1] - 2.0 >= 1e-2:
+                err = max_rel(result, [float(v) for v in reference.twist_reference(coords, t)])
+                if not err <= 1e-10:
+                    far.append((coords, t, err))
+        assert far == []
+
+    # kernel-sweep's near-parabolic fixed inputs that miss 1e-10, at t L = s
+    @pytest.mark.xfail(strict=True, reason="tr - 2 cancels in the core length, and the trace "
+                                            "check rejects X1 X2 = 1 as not hyperbolic")
+    @pytest.mark.parametrize("x1, x2, s", [
+        (1e-12, 1e12, 0.5), (1e-12, 1e12, 400.0), (1e-13, 1e13, 0.5), (1e-13, 1e13, 400.0),
+        (1e-12, 1000100000000.0, 0.5), (1e-12, 1000100000000.0, 400.0),
+        (1e-13, 10001000000000.0, 0.5), (1e-13, 10001000000000.0, 400.0),
+        (1e-12, 1010000000000.0, 400.0), (1e-13, 10100000000000.0, 400.0),
+    ])
+    def test_near_parabolic_matches_mpmath_reference(self, x1, x2, s):
+        reference = load_benchmark_module("reference")
+        coords = (x1, x2, 1.0, 1.0)
+        t = s / reference.core_length(coords)
+        exact = reference.twist_reference(coords, t)
+        assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
