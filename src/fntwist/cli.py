@@ -86,13 +86,17 @@ def _write_text(text: str, path):
             fp.write(text)
 
 
+# verify compares positive doubles only: the error is |a - b| over the larger of the two
 def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    return abs(a - b) / (a if a > b else b)
 
 
 def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
-    return max(_rel_err(a[0], b[0]), _rel_err(a[1], b[1]),
-               _rel_err(a[2], b[2]), _rel_err(a[3], b[3]))
+    """_rel_err of each entry pair, written out once per entry; the largest of the four."""
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    return max(abs(a1 - b1) / (a1 if a1 > b1 else b1), abs(a2 - b2) / (a2 if a2 > b2 else b2),
+               abs(a3 - b3) / (a3 if a3 > b3 else b3), abs(a4 - b4) / (a4 if a4 > b4 else b4))
 
 
 # ---------------------------------------------------------------- twist/dehn
@@ -297,8 +301,9 @@ def _trace_invariance(coords, rng):
 
 
 def _dehn_compatibility(coords, rng):
-    return max(_max_rel(dehn_twist(coords, m), twist_closed_form(coords, float(m)))
-               for m in (1, 2, 3))
+    return max(_max_rel(dehn_twist(coords, 1), twist_closed_form(coords, 1.0)),
+               _max_rel(dehn_twist(coords, 2), twist_closed_form(coords, 2.0)),
+               _max_rel(dehn_twist(coords, 3), twist_closed_form(coords, 3.0)))
 
 
 def _endpoint_round_trip(coords, rng):

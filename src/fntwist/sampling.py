@@ -12,7 +12,7 @@ Coordinates are drawn log-uniformly, one draw per coordinate in order.
 
 from __future__ import annotations
 
-import math
+from math import exp, log
 
 from .annulus import AnnulusCoords
 
@@ -20,7 +20,8 @@ _MULTIPLIER = 6364136223846793005
 _INCREMENT = 1442695040888963407
 _MASK = (1 << 64) - 1
 _SCALE = 1.0 / (1 << 53)
-_LOG_LO, _LOG_HI = math.log(0.1), math.log(10.0)  # random_coords draws in (0.1, 10)
+_LOG_LO = log(0.1)  # random_coords draws in (0.1, 10)
+_LOG_SPAN = log(10.0) - _LOG_LO  # Lcg.uniform's (hi - lo)
 
 
 class Lcg:
@@ -37,14 +38,17 @@ class Lcg:
         return lo + (hi - lo) * self.next_float()
 
     def log_uniform(self, lo: float, hi: float) -> float:
-        return math.exp(self.uniform(math.log(lo), math.log(hi)))
+        return exp(self.uniform(log(lo), log(hi)))
 
 
 def random_coords(rng: Lcg) -> AnnulusCoords:
     """Four Lcg.log_uniform(0.1, 10.0) draws, in the same float operations, as coordinates."""
-    state, values = rng.state, []
-    for _ in range(4):
-        state = (_MULTIPLIER * state + _INCREMENT) & _MASK
-        values.append(math.exp(_LOG_LO + (_LOG_HI - _LOG_LO) * ((state >> 11) * _SCALE)))
-    rng.state = state
-    return tuple.__new__(AnnulusCoords, values)  # each is exp of a finite float: positive, finite
+    s1 = (_MULTIPLIER * rng.state + _INCREMENT) & _MASK
+    s2 = (_MULTIPLIER * s1 + _INCREMENT) & _MASK
+    s3 = (_MULTIPLIER * s2 + _INCREMENT) & _MASK
+    rng.state = s4 = (_MULTIPLIER * s3 + _INCREMENT) & _MASK
+    # each is exp of a finite float: positive, finite
+    return tuple.__new__(AnnulusCoords, (exp(_LOG_LO + _LOG_SPAN * ((s1 >> 11) * _SCALE)),
+                                         exp(_LOG_LO + _LOG_SPAN * ((s2 >> 11) * _SCALE)),
+                                         exp(_LOG_LO + _LOG_SPAN * ((s3 >> 11) * _SCALE)),
+                                         exp(_LOG_LO + _LOG_SPAN * ((s4 >> 11) * _SCALE))))

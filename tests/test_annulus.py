@@ -308,12 +308,18 @@ class TestCoordsFromEndpoints:
 
 
 class TestRandomCoords:
-    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**64 - 1])
+    # the uniform draws one verify sample takes after its coordinates, in suite order
+    SUITE_DRAWS = [[(0.0, 3.0)], [(0.0, 2.0), (0.0, 2.0)], [(0.0, 3.0)], [], []]
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("bounds", [(0.1, 10.0)])  # the one range random_coords draws in
     def test_four_log_uniform_draws_exactly(self, seed, bounds):
         rng, expected_rng = Lcg(seed), Lcg(seed)
-        for _ in range(50):
+        for k in range(60):
             drawn = random_coords(rng)
             expected = tuple(expected_rng.log_uniform(*bounds) for _ in range(4))
             assert drawn.as_tuple() == expected
             assert rng.state == expected_rng.state
+            for draw in self.SUITE_DRAWS[k % len(self.SUITE_DRAWS)]:
+                assert rng.uniform(*draw) == expected_rng.uniform(*draw)
+                assert rng.state == expected_rng.state

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fntwist import cli
@@ -470,11 +470,56 @@ class TestVerifyCommand:
         assert run(["verify", "--samples", "1000", "--seed", seed]) == 0
         assert capsys.readouterr().out == report
 
+    # float.hex of each suite's maximum, recorded before the comparison was inlined
+    @pytest.mark.parametrize("samples, seed, expected", [
+        (1000, 0, ["0x1.28c87a0965f27p-48", "0x1.11c2c5b549b3fp-48", "0x1.4d7f90b4cbaa2p-51",
+                   "0x1.2b237cac56819p-47", "0x1.25df05c62dc60p-49"]),
+        (1000, 5, ["0x1.9e749fb52b481p-48", "0x1.ddd73f1d84865p-49", "0x1.1cb13e6028ff8p-51",
+                   "0x1.23c878abe5c4ap-47", "0x1.f05a4ed5c5f24p-50"]),
+        (1000, 2784682393, ["0x1.d9e0d880930b6p-48", "0x1.2076f9583946cp-48",
+                            "0x1.5bf990b208f26p-51", "0x1.4d3f6433c2247p-47",
+                            "0x1.013d24a683991p-49"]),
+        (5000, 5, ["0x1.009f6ca4629a7p-47", "0x1.13e9ed8d0d669p-48", "0x1.6729ff8ee225ap-51",
+                   "0x1.6b1d3793fd9bcp-47", "0x1.3687f44a48ecep-49"]),
+    ])
+    def test_suite_values_keep_their_bits(self, samples, seed, expected):
+        results = cli.run_verify_suites(samples, seed)
+        assert list(results) == ["oracle-equivalence", "flow-additivity", "trace-invariance",
+                                 "dehn-compatibility", "endpoint-round-trip"]
+        assert [v.hex() for v in results.values()] == expected
+
     def test_deterministic_report(self, capsys):
         assert run(["verify", "--samples", "60", "--seed", "7"]) == 0
         first = capsys.readouterr().out
         assert run(["verify", "--samples", "60", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
+
+
+positive_doubles = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+def floored_rel_err(a, b):
+    # the comparison verify made before it divided by the larger entry
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+class TestVerifyComparison:
+    def test_results_below_the_old_floor_keep_their_error(self):
+        assert cli._rel_err(1e-305, 2e-305) == 0.5
+        assert cli._max_rel((1.0, 1e-305, 1.0, 1.0), (1.0, 2e-305, 1.0, 1.0)) == 0.5
+
+    @given(positive_doubles, positive_doubles)
+    @example(1e-300, 5e-324)
+    @example(1e-300, 2e-300)
+    def test_matches_the_floored_formula_above_its_floor(self, a, b):
+        assume(max(a, b) >= 1e-300)
+        assert cli._rel_err(a, b) == floored_rel_err(a, b)
+
+    @given(st.lists(st.tuples(positive_doubles, positive_doubles).filter(
+        lambda pair: max(pair) >= 1e-300), min_size=4, max_size=4))
+    def test_quadruple_error_is_the_largest_floored_error(self, pairs):
+        first, second = zip(*pairs)
+        assert cli._max_rel(first, second) == max(floored_rel_err(a, b) for a, b in pairs)
 
 
 class TestParseErrors:
