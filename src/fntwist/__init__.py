@@ -16,18 +16,11 @@ from .annulus import (
     core_geodesic,
     endpoints,
 )
-from .mobius import (
-    DegenerateCrossRatioError,
-    MobiusMap,
-    NonHyperbolicError,
-    cross_ratio,
-)
 from .sampling import Lcg, random_coords
 from .surface import AnnulusEmbedding, SurfaceCoords, apply_local_twist
 from .twist import (
     TwistRangeError,
     dehn_twist,
-    stratum_map,
     twist_closed_form,
     twist_oracle,
     twist_p_form,
@@ -38,20 +31,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnulusCoords",
     "AnnulusEmbedding",
-    "DegenerateCrossRatioError",
     "Lcg",
-    "MobiusMap",
-    "NonHyperbolicError",
     "SurfaceCoords",
     "TwistRangeError",
     "apply_local_twist",
     "coords_from_endpoints",
     "core_geodesic",
-    "cross_ratio",
     "dehn_twist",
     "endpoints",
     "random_coords",
-    "stratum_map",
     "twist_closed_form",
     "twist_oracle",
     "twist_p_form",

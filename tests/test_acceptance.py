@@ -10,12 +10,10 @@ from fntwist import (
     AnnulusCoords,
     AnnulusEmbedding,
     Lcg,
-    MobiusMap,
     SurfaceCoords,
     apply_local_twist,
     coords_from_endpoints,
     core_geodesic,
-    cross_ratio,
     dehn_twist,
     endpoints,
     random_coords,
@@ -24,6 +22,7 @@ from fntwist import (
     twist_p_form,
 )
 from fntwist.cli import main
+from fntwist.mobius import MobiusMap, cross_ratio
 from util import exponential_fixed_points, max_rel, rel_err
 
 SEED = 42

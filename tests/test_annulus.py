@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from fntwist import (
     AnnulusCoords,
     Lcg,
-    MobiusMap,
     coords_from_endpoints,
     core_geodesic,
     endpoints,
     random_coords,
 )
 from fntwist.annulus import _coordinate
+from fntwist.mobius import MobiusMap
 from util import (FloatSubclass, coords_from_endpoints_reference, exponential_fixed_points,
                   holonomy_f2, max_rel, rel_err)
 

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import re
@@ -254,6 +256,14 @@ class TestFlowCommand:
 
     def test_nonpositive_span_usage_error(self):
         assert run(["flow", "--coords", "1,1,1,1", "--t", "0", "--steps", "10"]) == 1
+
+    @pytest.mark.parametrize("t, message", [
+        ("inf", "error: twist parameter must be finite, got inf\n"),  # sample_flow's _growth
+        ("nan", "usage error: --t must be positive for flow sampling, got nan\n"),
+    ])
+    def test_non_finite_span_exit_one(self, t, message, capsys):
+        assert run(["flow", "--coords", "1,1,1,1", "--t", t]) == 1
+        assert capsys.readouterr() == ("", message)
 
     def test_bad_projection_usage_error(self, capsys):
         assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10",
@@ -527,8 +537,24 @@ class TestParseErrors:
         assert run([]) == 1
 
     def test_non_numeric_coords(self, capsys):
-        assert run(["twist", "--coords", "a,b,c,d"]) == 1
-        assert "numbers" in capsys.readouterr().err
+        # AnnulusCoords converts the fields and names the first that is not a number
+        for text, field, value in [("a,b,c,d", "X1", "a"), ("1,abc,1,1", "X2", "abc")]:
+            assert run(["twist", "--coords", text]) == 1
+            assert capsys.readouterr() == ("", f"error: coordinate {field} must be a number, "
+                                               f"got {value!r}\n")
+
+    # --coords text: arbitrary, or four fields of numbers, number-like words and arbitrary text
+    @given(st.one_of(st.text(), st.lists(st.one_of(
+        st.floats().map(repr), st.sampled_from(["nan", "-inf", "1e999", "1e-400", " 2 ", ""]),
+        st.text(max_size=4)), min_size=3, max_size=5).map(",".join)))
+    @example("-1,1,1,1")  # argparse takes it for an option, so --coords has no value
+    @settings(deadline=None)
+    def test_any_coords_text_exits_zero_or_one_with_one_error_line(self, text):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["twist", "--coords", text])
+        assert code in (0, 1)
+        assert err.getvalue().count("\n") == (code == 1)
 
     def test_nan_twist_parameter(self, capsys):
         assert run(["twist", "--coords", "1,1,1,1", "--t", "nan"]) == 1

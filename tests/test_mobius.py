@@ -4,14 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fntwist import (
-    AnnulusCoords,
-    DegenerateCrossRatioError,
-    MobiusMap,
-    NonHyperbolicError,
-    cross_ratio,
-    endpoints,
-)
+from fntwist import AnnulusCoords, endpoints
+from fntwist.mobius import DegenerateCrossRatioError, MobiusMap, NonHyperbolicError, cross_ratio
 from util import holonomy_f2, rel_err
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # positive fixed point of f2 at (1,1,1,1)

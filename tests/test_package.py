@@ -25,7 +25,14 @@ def test_boundary_point_type_is_gone():
         assert not hasattr(fntwist, name), name
     for name in ("as_point", "ABS_TOL"):
         assert not hasattr(fntwist.mobius, name), name
-    assert "__call__" not in vars(fntwist.MobiusMap)
+    assert "__call__" not in vars(fntwist.mobius.MobiusMap)
+
+
+def test_mobius_names_are_not_exported():
+    # the Mobius layer and stratum_map exist to check the twist routes; they stay in their modules
+    for name in ("MobiusMap", "cross_ratio", "NonHyperbolicError", "DegenerateCrossRatioError",
+                 "stratum_map"):
+        assert name not in fntwist.__all__ and name not in dir(fntwist), name
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():

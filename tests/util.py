@@ -5,7 +5,8 @@ import json
 import math
 from pathlib import Path
 
-from fntwist import AnnulusCoords, MobiusMap, core_geodesic, cross_ratio
+from fntwist import AnnulusCoords, core_geodesic
+from fntwist.mobius import MobiusMap, cross_ratio
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
