@@ -26,11 +26,21 @@ HYPERBOLICITY_MARGIN = 1e-12
 _MIN_NORMAL = sys.float_info.min  # below it, X1 * X2 or a twisted coordinate has lost bits
 
 
+def _number_text(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # a number past the int-to-str digit limit: give its size instead
+        bits = abs(int(value)).bit_length()
+        return f"{'-' if value < 0 else ''}<{bits}-bit {type(value).__name__}>"
+
+
 def _coordinate(field, v) -> float:
     try:
         v = float(v)
     except (TypeError, ValueError):
         raise ValueError(f"coordinate {field} must be a number, got {v!r}") from None
+    except OverflowError:  # an int or Fraction past float range
+        raise ValueError(f"coordinate {field} must be finite, got {_number_text(v)}") from None
     if not 0.0 < v < math.inf:  # one test when v is valid; False for nan, inf, 0 and below
         why = "strictly positive" if math.isfinite(v) else "finite"
         raise ValueError(f"coordinate {field} must be {why}, got {v!r}")

@@ -60,7 +60,7 @@ def parse_coords(text: str) -> AnnulusCoords:
 
 
 # --proj axis name -> (coordinate index, log scale)
-_AXES = {f"{log}{x}{i}": (i, bool(log)) for log in ("", "log") for x in "Xx" for i in range(1, 5)}
+_AXES = {f"{log}X{i}": (i, bool(log)) for log in ("", "log") for i in range(1, 5)}
 
 
 def parse_projection(text: str):
@@ -204,28 +204,22 @@ def render_svg(curves, proj) -> str:
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
     axis_y = _MARGIN_TOP + plot_h
 
-    def sx(v):
-        return _MARGIN_LEFT + (v - x_lo) / x_span * plot_w
-
-    def sy(v):
-        return axis_y - (v - y_lo) / y_span * plot_h
+    def project(xs, ys):  # data to frame for ticks, lines and markers; lists, no point tuples
+        return ([_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs],
+                [axis_y - (y - y_lo) / y_span * plot_h for y in ys])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
-    ]
-    parts.append(
         f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + plot_w}" y2="{axis_y}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
+        'stroke="black" stroke-width="1"/>',
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" y2="{axis_y}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    for frac in (0.0, 0.5, 1.0):
-        vx, vy = x_lo + frac * x_span, y_lo + frac * y_span
-        px, py = sx(vx), sy(vy)
+        'stroke="black" stroke-width="1"/>',
+    ]
+    tick_xs = [x_lo + frac * x_span for frac in (0.0, 0.5, 1.0)]
+    tick_ys = [y_lo + frac * y_span for frac in (0.0, 0.5, 1.0)]
+    for vx, vy, px, py in zip(tick_xs, tick_ys, *project(tick_xs, tick_ys)):
         parts.append(
             f'<text x="{px:.1f}" y="{axis_y + 18:.1f}" font-size="11" '
             f'text-anchor="middle">{vx:.3g}</text>'
@@ -243,16 +237,14 @@ def render_svg(curves, proj) -> str:
         f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.1f})">{proj[1][0]}</text>'
     )
     for (samples, stroke), (xs, ys) in zip(curves, projected):
-        # sx and sy written out, one %-format per point
-        points = " ".join(["%.2f,%.2f" % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
-                                          axis_y - (y - y_lo) / y_span * plot_h)
-                           for x, y in zip(xs, ys)])
+        pxs, pys = project(xs, ys)
+        points = " ".join(["%.2f,%.2f" % point for point in zip(pxs, pys)])
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
         n = len(samples)
         for i in sorted({0, n // 4, n // 2, 3 * n // 4, n - 1}):
-            px, py = sx(xs[i]), sy(ys[i])
+            px, py = pxs[i], pys[i]
             parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{stroke}"/>')
             parts.append(f'<text x="{px + 5:.1f}" y="{py - 5:.1f}" font-size="10">'
                          f't={samples[i][0]:.3g}</text>')

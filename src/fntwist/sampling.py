@@ -30,12 +30,9 @@ class Lcg:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_float(self) -> float:
-        self.state = (_MULTIPLIER * self.state + _INCREMENT) & _MASK
-        return (self.state >> 11) * _SCALE
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_float()
+    def uniform(self, lo: float, hi: float) -> float:  # lo + (hi - lo) * u_k, one step
+        self.state = state = (_MULTIPLIER * self.state + _INCREMENT) & _MASK
+        return lo + (hi - lo) * ((state >> 11) * _SCALE)
 
     def log_uniform(self, lo: float, hi: float) -> float:
         return exp(self.uniform(log(lo), log(hi)))

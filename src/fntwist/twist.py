@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 
-from .annulus import _MIN_NORMAL, AnnulusCoords, core_geodesic, endpoints, length_trace
+from .annulus import (_MIN_NORMAL, AnnulusCoords, _number_text, core_geodesic, endpoints,
+                      length_trace)
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -59,14 +60,8 @@ def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
 
 
 def _out_of_range(why: str, coords: AnnulusCoords, name: str, value) -> TwistRangeError:
-    try:
-        value = repr(value)
-    except ValueError:  # a number past the int-to-str digit limit: give its size instead
-        bits = abs(int(value)).bit_length()
-        value = f"{'-' if value < 0 else ''}<{bits}-bit {type(value).__name__}>"
-    return TwistRangeError(
-        f"{why} for coords {tuple(coords)}, {name} = {value}; result not representable"
-    )
+    return TwistRangeError(f"{why} for coords {tuple(coords)}, {name} = {_number_text(value)}; "
+                           "result not representable")
 
 
 def _growth(coords: AnnulusCoords, t, length: float):

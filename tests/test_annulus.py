@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -107,6 +108,15 @@ class TestAnnulusCoords:
         (-1, "coordinate X3 must be strictly positive, got -1.0"),
         ("abc", "coordinate X3 must be a number, got 'abc'"),
         (None, "coordinate X3 must be a number, got None"),
+        # past float range: float() overflows, and the field is named all the same
+        pytest.param(10**400, f"coordinate X3 must be finite, got {10**400}", id="int-1e400"),
+        pytest.param(-10**400, f"coordinate X3 must be finite, got {-10**400}", id="int--1e400"),
+        pytest.param(Fraction(10**400), f"coordinate X3 must be finite, got Fraction({10**400}, 1)",
+                     id="Fraction-1e400"),
+        pytest.param(10**5000, "coordinate X3 must be finite, got <16610-bit int>",
+                     id="int-1e5000"),  # past the int-to-str digit limit: its size is printed
+        pytest.param(-Fraction(10**5000), "coordinate X3 must be finite, got -<16610-bit Fraction>",
+                     id="Fraction--1e5000"),
     ])
     def test_rejected_inputs_exact_message(self, value, message):
         with pytest.raises(ValueError) as info:
@@ -114,7 +124,7 @@ class TestAnnulusCoords:
         assert str(info.value) == message
 
     @given(st.tuples(mixed_entries, mixed_entries, mixed_entries, mixed_entries))
-    @example((-1, 10**400, 1, 1))  # X1's ValueError, not the OverflowError of X2's float()
+    @example((-1, 10**400, 1, 1))  # X1's error, not the overflow of X2's float()
     @example((1, 10**400, -1, 1))
     @example((FloatSubclass(2.0), "3", 4, True))
     @example((-1, Unconvertible(), 1, 1))  # X1's error, not the later conversion's
@@ -305,6 +315,20 @@ class TestCoordsFromEndpoints:
     def test_bit_identical_to_cross_ratio_route(self, coords):
         ends = endpoints(coords)
         assert coords_from_endpoints(ends) == coords_from_endpoints_reference(ends)
+
+
+class TestLcg:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, -1])
+    def test_uniform_follows_readme_recurrence(self, seed):
+        # README "Reproducible sampling": u_k = (state_k+1 >> 11) / 2^53, and
+        # Lcg.uniform(lo, hi) = lo + (hi - lo) * u_k, bit for bit
+        rng, state = Lcg(seed), seed % 2**64
+        bounds = [(0.0, 3.0), (0.0, 2.0), (math.log(0.1), math.log(10.0)), (-5.0, 7.5)]
+        for k in range(50):
+            lo, hi = bounds[k % len(bounds)]
+            state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+            assert rng.uniform(lo, hi).hex() == (lo + (hi - lo) * ((state >> 11) / 2.0**53)).hex()
+            assert rng.state == state
 
 
 class TestRandomCoords:

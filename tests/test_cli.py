@@ -422,6 +422,8 @@ class TestProjectionParsing:
             parse_projection("X1")
         with pytest.raises(ValueError):
             parse_projection("X1,X5")
+        with pytest.raises(ValueError, match=r"^invalid projection axis 'x1' "):
+            parse_projection("x1,logx2")  # the axis names are X1..X4 and logX1..logX4 only
 
     def test_render_handles_constant_axis(self):
         # X2 stays at 1 along this flow; the log projection must not divide by zero
@@ -437,6 +439,23 @@ class TestProjectionParsing:
         assert text.count("<polyline") == 2
         assert text.index('stroke="magenta"') < text.index('stroke="teal"')
         assert text.count("<svg") == 1 and text.count('fill="white"') == 1
+
+    # golden.py hashes one curve; these pin two overlaid curves, a constant axis, and a
+    # quadruple spanning 21 decades on plain and log axes (ten steps to t = 1 each)
+    @pytest.mark.parametrize("starts, proj, digest", [
+        ([((1, 1, 1, 1), "magenta"), ((4, 0.25, 1, 1), "teal")], "logX1,logX2",
+         "753d09f61648b42c1a67b7b0819748378d52879a6574b3750cc039b333101cae"),
+        ([((1, 1, 1, 1), "magenta")], "logX1,logX2",
+         "b738def1114686f18c75c6d07d9eacabe0834a87ea58d7d395e4453ccd7a49fa"),
+        ([((1e-9, 3e8, 1e10, 1e-11), "magenta")], "X3,X4",
+         "e13a5fd9caefbba2f85e06f5d341fc8c28f2a47b6817ac8bee18fd852a06fba0"),
+        ([((1e-9, 3e8, 1e10, 1e-11), "magenta")], "logX4,X2",
+         "795a70bb67e9a21b89d70949563a0adc9b5f16b4eecc02092a6a305ebb0eb7d3"),
+    ], ids=["overlay", "constant-axis", "wide-X3,X4", "wide-logX4,X2"])
+    def test_render_bytes_keep_their_digests(self, starts, proj, digest):
+        curves = [(sample_flow(AnnulusCoords(*start), 1.0, 10), stroke) for start, stroke in starts]
+        text = render_svg(curves, parse_projection(proj))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:

@@ -1,10 +1,15 @@
 """The package's exported names and what importing it costs."""
 
+import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import fntwist
+import fntwist.cli
 
 
 def test_every_exported_name_resolves():
@@ -43,3 +48,11 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def test_console_script_resolves():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; requires-python allows 3.10
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["fntwist"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is fntwist.cli.main

@@ -78,6 +78,8 @@ class TestValidation:
         (-1, "coordinate 3 must be strictly positive, got -1.0"),
         ("x", "coordinate 3 must be a number, got 'x'"),
         (None, "coordinate 3 must be a number, got None"),
+        pytest.param(-10**400, f"coordinate 3 must be finite, got {-10**400}", id="int--1e400"),
+        pytest.param(10**5000, "coordinate 3 must be finite, got <16610-bit int>", id="int-1e5000"),
     ])
     def test_rejected_entry_exact_message(self, value, message):
         with pytest.raises(ValueError) as info:

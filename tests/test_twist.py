@@ -780,3 +780,17 @@ class TestDoubleRange:
         coords = (x1, 1.0, 1.0, 1.0)
         exact = load_benchmark_module("reference").twist_reference(coords, 0.1)
         assert max_rel(twist_p_form(AnnulusCoords(*coords), 0.1), [float(v) for v in exact]) < 1e-10
+
+    # p-form's y2 = x2 * edge2_gap * edge2_gap / (axis_sq * ...): at (1, 1e103, 1, 1) and t = 0
+    # the product is 1e309 before axis_sq = (p1 - p2)^2 = 1e206 divides it back to 1e103.  The
+    # identity twist fails once X1 * X2 passes about 5.6e102 at X1 = 1, and 2.6e69 at X1 = 1e-100
+    @pytest.mark.xfail(strict=True, reason="p-form's x2 * edge2_gap * edge2_gap overflows")
+    @pytest.mark.parametrize("coords, t", [
+        ((1.0, 1e103, 1.0, 1.0), 0.0),
+        ((1e-100, 1e170, 1.0, 1.0), 0.0),
+        # mpmath gives (1.2676518658578455, 7.888601176185544e102, 1, 1) here
+        ((1.0, 1e103, 1.0, 1.0), 0.001),
+    ])
+    def test_p_form_large_x2_matches_mpmath_reference(self, coords, t):
+        exact = load_benchmark_module("reference").twist_reference(coords, t)
+        assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
