@@ -130,13 +130,13 @@ def cmd_dehn(args) -> int:
 # ----------------------------------------------------------------------- flow
 
 def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
-    """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t in [0, t_max].
+    """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t from 0.0 to t_max.
 
     The start's invariants (L and the axis endpoints p1, p2) are computed
     once and every sample is twisted from them.  Length and trace are still
     recomputed from each sample's own X1, X2, so the emitted rows exhibit,
     rather than assume, their invariance.  A span whose end is past the
-    |t| L cap, or not finite, raises before any sample is computed.  A
+    |t| L cap or not finite, or steps < 1, raises before any sample.  A
     sample's ValueError gets its t and the input coords appended.
     """
     if steps < 1:
@@ -146,7 +146,7 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     samples = []
     try:
         for i in range(steps + 1):
-            t = i * t_max / steps
+            t = i * t_max / steps or 0.0  # 0.0, not -0.0, at a negative span's start
             point = twist_from_core(coords, core, t)
             samples.append((t, *point, *length_trace(point[0], point[1])))
     except ValueError as exc:  # a sample's own X1, X2 failed the trace check
@@ -254,10 +254,6 @@ def render_svg(curves, proj) -> str:
 
 def cmd_flow(args) -> int:
     coords = parse_coords(args.coords)
-    if args.steps < 2:
-        raise UsageError(f"--steps must be at least 2, got {args.steps}")
-    if not args.t > 0.0:  # nan fails it too; sample_flow rejects inf
-        raise UsageError(f"--t must be positive for flow sampling, got {args.t}")
     proj = parse_projection(args.proj)
     samples = sample_flow(coords, args.t, args.steps)
     if args.format == "csv":
@@ -361,9 +357,9 @@ def build_parser() -> _Parser:
     p_dehn.add_argument("--m", type=int, default=1, help="twist count, may be negative")
     p_dehn.set_defaults(func=cmd_dehn)
 
-    p_flow = sub.add_parser("flow", help="sample the flow on [0, t]")
+    p_flow = sub.add_parser("flow", help="sample the flow from 0 to t")
     add_common(p_flow, "csv")
-    p_flow.add_argument("--steps", type=int, default=100, help="number of intervals (>= 2)")
+    p_flow.add_argument("--steps", type=int, default=100, help="number of intervals (>= 1)")
     p_flow.add_argument("--svg", default=None, help="also render an SVG to this path")
     p_flow.add_argument("--proj", default="logX1,logX2",
                         help="2D projection, e.g. X1,X3 or logX1,logX2")

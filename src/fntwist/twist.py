@@ -40,7 +40,7 @@ _SHIFT_THRESHOLD = 300.0
 
 
 class TwistRangeError(OverflowError):
-    """Raised when |t| * L is too large for the result to be representable."""
+    """Raised past the |t| * L cap, or when a result or an intermediate leaves double range."""
 
 
 def stratum_map(coords: AnnulusCoords, t) -> MobiusMap:
@@ -119,11 +119,14 @@ def twist_from_core(coords: AnnulusCoords, core, t):
         neg = -(x1 * x1 * x2 / (x1 + p1))
     axis_gap = (x1 + p1) * moved - neg * fixed
     edge2_gap = p1 * moved - p2 * fixed
-    try:
-        y1 = x1 * axis_sq * moved * fixed / (axis_gap * axis_gap)
-        y2 = x2 * edge2_gap * edge2_gap / (axis_sq * moved * fixed)
-    except ZeroDivisionError:  # the axis gap's square underflowed to 0
-        raise _out_of_range("the axis gap vanished", coords, "t", t) from None
+    top1, bottom1 = x1 * axis_sq * moved * fixed, axis_gap * axis_gap
+    top2, bottom2 = x2 * edge2_gap * edge2_gap, axis_sq * moved * fixed
+    if not bottom1 >= _MIN_NORMAL:  # 0 or subnormal: too few bits left to divide by
+        raise _out_of_range("the axis gap vanished", coords, "t", t)
+    # a subnormal operand can divide back into the normal range with wrong digits
+    if not (top1 >= _MIN_NORMAL and top2 >= _MIN_NORMAL and bottom2 >= _MIN_NORMAL):
+        raise _out_of_range("an intermediate product underflowed", coords, "t", t)
+    y1, y2 = top1 / bottom1, top2 / bottom2
     ratio = axis_gap / edge2_gap
     y3, y4 = x3 * ratio, x4 * ratio
     if (_MIN_NORMAL <= y1 < math.inf and _MIN_NORMAL <= y2 < math.inf

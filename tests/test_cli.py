@@ -99,6 +99,15 @@ class TestTwistCommand:
         assert err.startswith("error: the axis gap vanished") and err.count("\n") == 1
         assert f"({coords.replace(',', ', ')}), t = -1.246898869987229" in err
 
+    def test_subnormal_intermediate_exit_one(self, capsys):
+        # x1 * axis_sq * moved * fixed is 4.9e-324; divided, it gave X1' = 1.27e-185, not 6.78e-186
+        coords = ("6.240413128754087e-70,5.465619396542107e+78,"
+                  "5.74639131112284e+180,4.1834211876723263e+157")
+        assert run(["twist", "--coords", coords, "--t", "28.68385713350821"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: an intermediate product underflowed for coords "
+                f"({coords.replace(',', ', ')}), t = 28.68385713350821; result not representable\n")
+
     def test_cancelling_axis_gap_exit_zero(self, capsys):
         # p1 rounds to 1 and x1 + p2 to 0; the guarded identity gives the axis gap
         coords = "2.3647617156901504e-12,2.78013075470335e-12,3.2912851745561317e-10,657824.7683302268"
@@ -250,20 +259,39 @@ class TestFlowCommand:
                     "--proj", "X1,X3"]) == 0
         assert "X1" in svg.read_text()
 
-    def test_single_step_usage_error(self, capsys):
-        assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "1"]) == 1
-        assert "steps" in capsys.readouterr().err
+    def test_single_step_writes_two_rows(self, capsys):
+        assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3  # header, then the samples at t = 0 and t = 1
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
-    def test_nonpositive_span_usage_error(self):
-        assert run(["flow", "--coords", "1,1,1,1", "--t", "0", "--steps", "10"]) == 1
+    def test_nonpositive_span_flows_from_zero(self, capsys):
+        # a zero span is a constant flow; a negative one flows backwards, from t = 0.0, not -0.0
+        assert run(["flow", "--coords", "1,1,1,1", "--t", "0", "--steps", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5 and len(set(rows)) == 1 and rows[0].startswith("0,")
+        assert run(["flow", "--coords", "1,1,1,1", "--t", "-1", "--steps", "4"]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == [0.0, -0.25, -0.5, -0.75, -1.0]
+        assert math.copysign(1.0, rows[0][0]) == 1.0
+        assert rows[-1][1:5] == pytest.approx([1.0, 4.0, 0.5, 0.5], rel=1e-12)  # dehn_twist at -1
+        assert run(["flow", "--coords", "1,1,1,1", "--t", "-1", "--steps", "4",
+                    "--format", "json"]) == 0
+        assert '"samples": [\n    {\n      "t": 0.0,\n' in capsys.readouterr().out
 
     @pytest.mark.parametrize("t, message", [
         ("inf", "error: twist parameter must be finite, got inf\n"),  # sample_flow's _growth
-        ("nan", "usage error: --t must be positive for flow sampling, got nan\n"),
+        ("nan", "error: twist parameter must be finite, got nan\n"),
     ])
     def test_non_finite_span_exit_one(self, t, message, capsys):
         assert run(["flow", "--coords", "1,1,1,1", "--t", t]) == 1
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_exit_one(self, steps, capsys):
+        assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", steps]) == 1
+        assert capsys.readouterr() == ("", f"error: steps must be at least 1, got {steps}\n")
 
     def test_bad_projection_usage_error(self, capsys):
         assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10",
@@ -281,6 +309,11 @@ class TestSampleFlow:
     def test_steps_below_one_raises(self, steps):
         with pytest.raises(ValueError, match=rf"^steps must be at least 1, got {steps}$"):
             sample_flow(AnnulusCoords(1, 1, 1, 1), 1.0, steps)
+
+    @pytest.mark.parametrize("t_max", [-2.0, -0.0, 0.0, 2.0])
+    def test_first_sample_is_positive_zero(self, t_max):
+        t = sample_flow(AnnulusCoords(1, 1, 1, 1), t_max, 4)[0][0]
+        assert t == 0.0 and math.copysign(1.0, t) == 1.0
 
     def test_span_beyond_cap_raises_before_sampling(self, monkeypatch):
         def unexpected(*_args):
@@ -390,12 +423,12 @@ class TestDrawFlowScript:
     @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-3"),
                                              ("--t", "nan"), ("--t", "inf")])
     def test_bad_argument_is_a_usage_error(self, flag, value, tmp_path, capsys, monkeypatch):
+        # sample_flow refuses it before any file is written, and main prints its one line
         script = self.load(monkeypatch, flag, value, "--out", str(tmp_path / "out"))
-        with pytest.raises(SystemExit) as info:
-            script.main()
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"error: argument {flag}: " in err and "Traceback" not in err
+        assert script.main() == 1
+        message = (f"steps must be at least 1, got {value}" if flag == "--steps"
+                   else f"twist parameter must be finite, got {value}")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
     def test_span_beyond_cap_is_one_error_line(self, tmp_path, capsys, monkeypatch):

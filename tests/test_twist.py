@@ -326,6 +326,22 @@ class TestLargeParameters:
             twist_p_form(coords, -1.246898869987229)
         assert f"{coords.as_tuple()}, t = -1.246898869987229" in str(info.value)
 
+    @pytest.mark.parametrize("coords, t, why", [
+        # x1 * axis_sq * moved * fixed is 4.9e-324; divided, X1' was 1.27e-185, not 6.78e-186
+        ((6.240413128754087e-70, 5.465619396542107e+78, 5.74639131112284e+180,
+          4.1834211876723263e+157), 28.68385713350821, "an intermediate product underflowed"),
+        # axis_gap * axis_gap is 2e-323; divided, X1' was 5.9e-3 off
+        ((3.277699441627464e-143, 3.38800666864615e+86, 1.1331194408373629e-74,
+          8.061009981631711e+184), -2.8836535942273227, "the axis gap vanished"),
+        # a subnormal operand of y2 put X2' off
+        ((4.252997030383465e-101, 2.6330560687928312e-118, 5.784539239908759e-111,
+          1.2396729461736219e-120), -0.47630558329546574, "an intermediate product underflowed"),
+    ])
+    def test_subnormal_intermediate_is_a_range_error(self, coords, t, why):
+        with pytest.raises(TwistRangeError) as info:
+            twist_p_form(AnnulusCoords(*coords), t)
+        assert str(info.value) == f"{why} for coords {coords}, t = {t!r}; result not representable"
+
     @pytest.mark.parametrize("coords, t", [
         # p1 rounds to 1, so x1 + p2 evaluates to 0
         ((2.3647617156901504e-12, 2.78013075470335e-12, 3.2912851745561317e-10,
@@ -774,6 +790,18 @@ class TestDoubleRange:
         exact = load_benchmark_module("reference").twist_reference(coords, float(m))
         assert max_rel(dehn_twist(AnnulusCoords(*coords), m), [float(v) for v in exact]) < 1e-10
 
+    # a forward step's x1 * x1 is subnormal before * x2 brings it back: (3.9e-162)^2 at step 7
+    @pytest.mark.xfail(strict=True, reason="a forward Dehn step's x1 * x1 goes subnormal")
+    @pytest.mark.parametrize("coords, m", [
+        ((629044748.9276872, 2.2530370261036243e+29, 18985.46381885888, 5.933403443211474e-28), 7),
+        ((4.0641168325449895e-14, 6.12385379256417e-17, 3.957453826540358e-09,
+          8.253166321510764e-38), 6),
+    ])
+    def test_dehn_twist_matches_exact_rational_map(self, coords, m):
+        reference = load_benchmark_module("reference")
+        result = dehn_twist(AnnulusCoords(*coords), m)
+        assert reference.max_rel_error(result, reference.dehn_exact(coords, m)) < 1e-10
+
     @pytest.mark.xfail(strict=True, reason="the core geodesic discriminant overflows")
     @pytest.mark.parametrize("x1", [1e200, 1e160])
     def test_p_form_matches_mpmath_reference(self, x1):
@@ -794,3 +822,23 @@ class TestDoubleRange:
     def test_p_form_large_x2_matches_mpmath_reference(self, coords, t):
         exact = load_benchmark_module("reference").twist_reference(coords, t)
         assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
+
+    def test_p_form_returns_only_accurate_results(self):
+        # coordinates 10^u, u uniform in [-300, 300], and |t L| below the cap: a result
+        # that returns is within 1e-10 of mpmath; the rest raise a typed error
+        reference = load_benchmark_module("reference")
+        rng, far = random.Random(3), []
+        for _ in range(1000):
+            coords = tuple(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(4))
+            s = rng.uniform(-649.9, 649.9)
+            length = reference.core_length(coords)
+            if not length < 650.0:
+                continue
+            try:
+                result = twist_p_form(AnnulusCoords(*coords), s / length)
+            except (ValueError, ArithmeticError):
+                continue
+            err = max_rel(result, [float(v) for v in reference.twist_reference(coords, s / length)])
+            if not err <= 1e-10:
+                far.append((coords, s / length, err))
+        assert far == []
