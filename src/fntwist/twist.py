@@ -8,16 +8,16 @@ Three independent routes compute the twisted quadruple:
   core_geodesic and twist_from_core, and a trajectory reuses one core;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
-* twist_oracle, a first-principles check that shares only p1, p2 and L
-  with the p-form: it twists the endpoint configuration in the axis frame
-  w = (p - p1)/(p - p2), where the map is w -> e^(t L) w, and re-reads the
-  four cross ratios there.  stratum_map gives the same map as a matrix.
+* twist_oracle, the Fenchel-Nielsen translation tau -> tau + t L of the
+  twist coordinate at fixed core length L, a check that shares no algebra
+  with the p-form.  stratum_map gives the map of the moving side as a matrix.
 
 _growth owns t: it converts, checks and caps it and returns it with the scale
-pair (moved, fixed), moved / fixed = e^(t L), so each route writes each gap
-A e^(t L) - B once, as A moved - B fixed (twist_from_core, the hot path, takes
-the pair inline for a plain float t).  stratum_map's det-1 diagonal takes its
-own e^(+/- t L/2): scaling (moved, fixed) to det 1 loses range.
+pair (moved, fixed), moved / fixed = e^(t L), so p-form and the closed form
+write each gap A e^(t L) - B once, as A moved - B fixed (twist_from_core, the
+hot path, takes the pair inline for a plain float t); the oracle uses only t.
+stratum_map's det-1 diagonal takes its own e^(+/- t L/2): scaling (moved,
+fixed) to det 1 loses range.
 
 At integer parameters the flow is a power of the Dehn twist, a rational
 map implemented separately in dehn_twist.  All routes accept negative t;
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .annulus import (_MIN_NORMAL, AnnulusCoords, _number_text, core_geodesic, endpoints,
-                      length_trace)
+from .annulus import _MIN_NORMAL, AnnulusCoords, _number_text, core_geodesic, length_trace
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -165,48 +164,38 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
 
 
 def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
-    """First-principles twist: move the vertices, re-read the cross ratios.
+    """Fenchel-Nielsen twist: translate the twist coordinate tau by t L at fixed L.
 
-    Shares with the p-form only (p1, p2, L) from core_geodesic, _growth
-    (t's check and cap, and the scale pair) and the positive/finite guard; its
-    twist and cross-ratio algebra is its own.  Cross ratios are Mobius
-    invariant, so it reads the endpoint configuration in the axis frame
-    W(v) = (v - p1)/(v - p2), where the twist multiplies W of the moving
-    vertices 0, x1, x3 by e^(t L) and fixes 1, x2, x4 and infinity (W = 1),
-    and evaluates the cross ratios X1 = [0:1:inf:x1], X2 = [x1:0:inf:x2],
-    X3 = [0:inf:x1:x3] and X4 = [1:x4:inf:0].
+    Shares with the p-form only _growth and the result check.  With r = sqrt(X1 X2)
+    and d = tr - 2 = ((r - 1)^2 + X1)/r: sinh(L/2) = sqrt(d (d + 4))/2 and
+    sinh(tau/2) = (1 - X1 X2 - X1)/(2 sqrt(X1)); X3 r and X4 r are invariant.
+    With h = (tau + t L)/2 the result has X2' = (cosh h / sinh(L/2))^2 and
+    sqrt(X1') = 1/(sinh h + R), R = hypot(sinh h, sqrt(X2' + 1)).
     """
-    length, _, p1, p2 = core_geodesic(coords)
-    t, moved, fixed = _growth(coords, t, length)  # W of the moving side scales by moved / fixed
     x1, x2, x3, x4 = coords
-    _, e2, e3, e4 = endpoints(coords)
-    width = p1 - p2
-    try:  # every gap is a sum of like-signed terms
-        # v - p2 for v = 0, 1, x4, x1, x3 (positive) and x2 (negative)
-        g0, g_one, g4 = -p2, 1.0 - p2, e4 - p2
-        g1 = x1 * x1 * x2 / (x1 + p1)  # -(x1 + p2)
-        g3 = x1 / (x3 + 1.0) + g1
-        g2 = -x1 * x2 * p1 / (x1 + p1)
-        # twisted W, negative on the moving side and positive on the fixed side
-        m0, m1 = moved * -p1 / g0, moved * -(x1 + p1) / g1
-        f_one = fixed * (x1 * x2 / g_one) / g_one  # 1 - p1 = X1 X2/(1 - p2)
-        f2 = fixed * (e2 - p1) / g2
-        # within a side W(u) - W(v) = width (u - v)/((u - p2)(v - p2)); W(v) - 1 = -width/(v - p2)
-        d10 = moved * width * -x1 / (g1 * g0)  # W'(x1) - W'(0)
-        d30 = moved * width * e3 / (g3 * g0)
-        d31 = moved * width * (x1 / (x3 + 1.0)) / (g3 * g1)
-        d_inf_one = fixed * width / g_one  # W'(inf) - W'(1)
-        d2_inf = -fixed * width / g2
-        d_inf_4 = fixed * width / g4
-        d4_one = fixed * width / x4 / (g4 * g_one)  # x4 - 1 = 1/X4
-        # [x:y:z:w] = (w - x)/(w - z) * (z - y)/(y - x) on the four quadruples above
-        y1 = d10 / (m1 - fixed) * d_inf_one / (f_one - m0)
-        y2 = (f2 - m1) / d2_inf * (fixed - m0) / -d10
-        y3 = d30 / d31 * (m1 - fixed) / (fixed - m0)
-        y4 = (m0 - f_one) / (m0 - fixed) * d_inf_4 / d4_one
-    except ZeroDivisionError:  # a gap underflowed
-        raise _out_of_range("a vertex gap vanished", coords, "t", t) from None
-    return _checked((y1, y2, y3, y4), coords, "t", t)
+    q1 = math.sqrt(x1)
+    r = q1 * math.sqrt(x2)
+    if 0.5 < r < 1.5:  # X1 X2 - 1 cancels: round it once from the exact product
+        (n1, d1), (n2, d2) = x1.as_integer_ratio(), x2.as_integer_ratio()
+        pm1 = (n1 * n2 - d1 * d2) / (d1 * d2)
+        rm1 = pm1 / (r + 1.0)
+    else:
+        pm1, rm1 = x1 * x2 - 1.0, r - 1.0
+    d = rm1 * (rm1 / r) + x1 / r  # not (rm1^2 + X1)/r, whose rm1^2 overflows
+    sigma = math.sqrt(d) * math.sqrt(d + 4.0) / 2.0  # sinh(L/2)
+    half = math.asinh(sigma)
+    t = _growth(coords, t, 2.0 * half)[0]
+    h = math.asinh((-pm1 - x1) / (2.0 * q1)) + t * half
+    try:
+        sh, up = math.sinh(h), math.cosh(h) / sigma
+        y2 = up * up
+        big = math.hypot(sh, math.sqrt(y2 + 1.0))
+    except OverflowError:
+        raise _out_of_range("a Fenchel-Nielsen intermediate overflowed", coords, "t", t) from None
+    # sinh h + R cancels for h < 0, where 1/(sinh h + R) = (R - sinh h)/(X2' + 1)
+    q1 = 1.0 / (sh + big) if h >= 0.0 else (big - sh) / (y2 + 1.0)
+    ratio = r / (q1 * up)  # r / r'
+    return _checked((q1 * q1, y2, x3 * ratio, x4 * ratio), coords, "t", t)
 
 
 def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:

@@ -194,86 +194,87 @@ class TestTwistRoutes:
 # frozen (twist_p_form, twist_closed_form, twist_oracle) outputs on each
 # quadruple at t = tL / L, tL on both sides of the 300 branch point and near
 # the cap: _growth's scale pair must keep every bit of each route's branch
+# (the oracle column recorded from the Fenchel-Nielsen oracle)
 PINNED_ACROSS_BRANCH = {
     (1.0, 1.0, 1.0, 1.0): {
         -640.0: (
             (1.4739300281345284e-277, 4.650222083421789e+277, 0.38196601125010515, 0.38196601125010515),
             (1.4739300281345287e-277, 4.650222083421789e+277, 0.38196601125010515, 0.38196601125010515),
-            (1.473930028134529e-277, 4.6502220834217886e+277, 0.38196601125010504, 0.3819660112501052),
+            (1.473930028134446e-277, 4.650222083422049e+277, 0.3819660112501052, 0.3819660112501052),
         ),
         -300.5: (
             (4.087459597534314e-130, 1.676861092494785e+130, 0.38196601125010515, 0.38196601125010515),
             (4.087459597534314e-130, 1.6768610924947847e+130, 0.38196601125010515, 0.38196601125010515),
-            (4.087459597534315e-130, 1.6768610924947844e+130, 0.3819660112501051, 0.3819660112501052),
+            (4.0874595975343216e-130, 1.6768610924947827e+130, 0.3819660112501051, 0.3819660112501051),
         ),
         299.5: (
             (1.6210536702326757e-130, 9.000197614023115e+128, 2.6180339887498953, 2.6180339887498953),
             (1.621053670232676e-130, 9.000197614023116e+128, 2.618033988749895, 2.618033988749895),
-            (1.6210536702326767e-130, 9.000197614023112e+128, 2.6180339887498953, 2.618033988749895),
+            (1.6210536702326743e-130, 9.000197614023127e+128, 2.618033988749895, 2.618033988749895),
         ),
         300.5: (
             (5.963523183141122e-131, 2.4465073626739495e+129, 2.6180339887498953, 2.6180339887498953),
             (5.963523183141123e-131, 2.4465073626739498e+129, 2.618033988749895, 2.618033988749895),
-            (5.963523183141123e-131, 2.446507362673949e+129, 2.6180339887498953, 2.618033988749895),
+            (5.963523183141118e-131, 2.4465073626739516e+129, 2.618033988749895, 2.618033988749895),
         ),
         640.0: (
             (2.1504349299037487e-278, 6.784582584735344e+276, 2.6180339887498953, 2.6180339887498953),
             (2.150434929903749e-278, 6.784582584735346e+276, 2.618033988749895, 2.618033988749895),
-            (2.150434929903749e-278, 6.784582584735343e+276, 2.6180339887498953, 2.6180339887498945),
+            (2.150434929903869e-278, 6.784582584734965e+276, 2.618033988749895, 2.618033988749895),
         ),
     },
     (2.0, 0.5, 3.0, 0.25): {
         -640.0: (
             (5.042667994781318e-277, 2.7620702462842846e+277, 0.8038475772933681, 0.06698729810778067),
             (5.042667994781323e-277, 2.7620702462842838e+277, 0.8038475772933678, 0.06698729810778065),
-            (5.042667994781316e-277, 2.7620702462842846e+277, 0.8038475772933682, 0.06698729810778066),
+            (5.042667994781373e-277, 2.762070246284253e+277, 0.8038475772933682, 0.06698729810778069),
         ),
         -300.5: (
             (1.3984179234434285e-129, 9.959971905951449e+129, 0.8038475772933681, 0.06698729810778067),
             (1.3984179234434299e-129, 9.959971905951448e+129, 0.8038475772933678, 0.06698729810778065),
-            (1.3984179234434278e-129, 9.95997190595145e+129, 0.8038475772933682, 0.06698729810778066),
+            (1.398417923443444e-129, 9.959971905951334e+129, 0.8038475772933684, 0.0669872981077807),
         ),
         299.5: (
             (2.729206321189292e-130, 2.630683109850204e+128, 11.196152422706632, 0.9330127018922193),
             (2.729206321189291e-130, 2.6306831098502048e+128, 11.196152422706634, 0.9330127018922195),
-            (2.7292063211892917e-130, 2.6306831098502048e+128, 11.196152422706628, 0.9330127018922192),
+            (2.72920632118926e-130, 2.6306831098502363e+128, 11.196152422706632, 0.9330127018922194),
         ),
         300.5: (
             (1.0040188962806845e-130, 7.150938093939942e+128, 11.196152422706632, 0.9330127018922193),
             (1.0040188962806843e-130, 7.150938093939942e+128, 11.196152422706632, 0.9330127018922194),
-            (1.0040188962806843e-130, 7.150938093939942e+128, 11.196152422706632, 0.9330127018922193),
+            (1.0040188962806727e-130, 7.150938093940028e+128, 11.196152422706632, 0.9330127018922194),
         ),
         640.0: (
             (3.620472728183741e-278, 1.9830772143534042e+276, 11.196152422706632, 0.9330127018922193),
             (3.62047272818374e-278, 1.9830772143534042e+276, 11.196152422706632, 0.9330127018922194),
-            (3.620472728183741e-278, 1.9830772143534044e+276, 11.196152422706632, 0.9330127018922193),
+            (3.620472728183698e-278, 1.983077214353428e+276, 11.196152422706632, 0.9330127018922194),
         ),
     },
     (0.3, 7.0, 0.2, 5.0): {
         -640.0: (
             (6.4262225497245046e-279, 4.9662487232355254e+278, 0.16223611165368823, 4.055902791342206),
             (6.4262225497245014e-279, 4.966248723235527e+278, 0.16223611165368823, 4.055902791342206),
-            (6.426222549724502e-279, 4.9662487232355266e+278, 0.16223611165368826, 4.055902791342206),
+            (6.426222549721447e-279, 4.9662487232378915e+278, 0.16223611165368818, 4.055902791342204),
         ),
         -300.5: (
             (1.7821012215897015e-131, 1.7908196878024684e+131, 0.16223611165368823, 4.055902791342206),
             (1.7821012215897005e-131, 1.7908196878024688e+131, 0.16223611165368823, 4.055902791342206),
-            (1.7821012215897012e-131, 1.7908196878024688e+131, 0.16223611165368826, 4.055902791342206),
+            (1.782101221589259e-131, 1.7908196878029136e+131, 0.1622361116536882, 4.055902791342205),
         ),
         299.5: (
             (3.3675501027385186e-130, 9.304685659388626e+128, 0.5177638883463118, 12.944097208657794),
             (3.3675501027385234e-130, 9.304685659388593e+128, 0.5177638883463124, 12.94409720865781),
-            (3.367550102738519e-130, 9.304685659388631e+128, 0.5177638883463118, 12.944097208657793),
+            (3.367550102737828e-130, 9.304685659390535e+128, 0.5177638883463119, 12.944097208657796),
         ),
         300.5: (
             (1.2388524499122794e-130, 2.5292757947439583e+129, 0.5177638883463118, 12.944097208657794),
             (1.2388524499122807e-130, 2.5292757947439488e+129, 0.5177638883463125, 12.944097208657812),
-            (1.2388524499122794e-130, 2.5292757947439583e+129, 0.5177638883463117, 12.944097208657794),
+            (1.2388524499120254e-130, 2.529275794744476e+129, 0.5177638883463117, 12.944097208657793),
         ),
         640.0: (
             (4.46727798228324e-278, 7.014113577102471e+276, 0.5177638883463118, 12.944097208657794),
             (4.467277982283244e-278, 7.014113577102445e+276, 0.5177638883463125, 12.944097208657812),
-            (4.467277982283239e-278, 7.0141135771024725e+276, 0.5177638883463117, 12.944097208657794),
+            (4.467277982281309e-278, 7.014113577105501e+276, 0.5177638883463117, 12.944097208657793),
         ),
     },
 }
@@ -534,7 +535,7 @@ class TestTinyFirstCoordinate:
         ((1e-170, 1.0, 1.0, 1.0), 0.1),
         ((1e-160, 1.0, 1.0, 1.0), 0.5),
     ])
-    @pytest.mark.parametrize("twist", [twist_p_form, twist_closed_form])
+    @pytest.mark.parametrize("twist", [twist_p_form, twist_closed_form, twist_oracle])
     def test_matches_mpmath_reference(self, twist, coords, t):
         exact = load_benchmark_module("reference").twist_reference(coords, t)
         assert max_rel(twist(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-12
@@ -556,7 +557,7 @@ class TestOracle:
     @pytest.mark.parametrize("coords", [UNIT, AnnulusCoords(2, 0.7, 3, 0.4),
                                         AnnulusCoords(0.3, 5, 0.2, 7)])
     def test_agrees_with_p_form_at_large_twist(self, coords, s):
-        # s > 300 takes both routes' shifted branch
+        # s > 300 takes p-form's shifted branch
         t = s / core_geodesic(coords)[0]
         assert max_rel(twist_oracle(coords, t), twist_p_form(coords, t)) < 1e-12
 
@@ -573,12 +574,24 @@ class TestOracle:
         with pytest.raises(TwistRangeError, match=rf"\(1\.0, 1\.0, 1\.0, 1\.0\), t = {too_far!r}"):
             twist_oracle(UNIT, too_far)
 
-    def test_tiny_first_coordinate_is_a_range_error(self):
-        # x1 * x1 * x2 / (x1 + p1) underflows to 0 below X1 of about 1e-162; p-form returns here
+    def test_parabolic_limit_round_trips(self):
+        # length_trace rejects this input as not hyperbolic; the oracle keeps the digits of tr - 2
+        coords = AnnulusCoords(1e-12, 1e12, 1, 1)
+        assert max_rel(twist_oracle(coords, 0.0), coords) < 1e-15
+
+    def test_subnormal_product_matches_mpmath_reference(self):
+        # length_trace rejects X1 X2 = 1e-310; at d = 1e155 only sqrt(d) sqrt(d + 4) stays finite
+        coords = (1e-200, 1e-110, 1.0, 1.0)
+        exact = load_benchmark_module("reference").twist_reference(coords, 0.1)
+        assert max_rel(twist_oracle(AnnulusCoords(*coords), 0.1), [float(v) for v in exact]) < 1e-12
+
+    def test_product_past_float_range_is_a_range_error(self):
+        # X1 X2 = 1e600 overflows, so tau and the result are not finite; d stays finite
         with pytest.raises(TwistRangeError) as info:
-            twist_oracle(AnnulusCoords(1e-200, 1, 1, 1), 0.1)
-        assert str(info.value) == ("a vertex gap vanished for coords (1e-200, 1.0, 1.0, 1.0), "
-                                   "t = 0.1; result not representable")
+            twist_oracle(AnnulusCoords(1e300, 1e300, 1, 1), 0.0)
+        assert str(info.value) == ("twisted coordinates (nan, inf, nan, nan) left the normal "
+                                   "positive finite range for coords (1e+300, 1e+300, 1.0, 1.0), "
+                                   "t = 0.0; result not representable")
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):
@@ -716,7 +729,7 @@ class TestTraceCheck:
     @pytest.mark.parametrize("call, checks", [
         (lambda: twist_p_form(COUNTED, 0.7), 1),
         (lambda: twist_closed_form(COUNTED, 0.7), 1),
-        (lambda: twist_oracle(COUNTED, 0.7), 1),
+        (lambda: twist_oracle(COUNTED, 0.7), 0),  # every positive quadruple has d > 0: no check
         (lambda: dehn_twist(COUNTED, 2), 1),
         # entries 2, 5, 1, 3 are COUNTED
         (lambda: apply_local_twist(SurfaceCoords((3.0, 2.0, 0.25, 7.0, 0.5)),
@@ -744,9 +757,30 @@ class TestTraceCheck:
         assert calls == [(2.0, 0.5)] * checks  # always the input's X1, X2, never the result's
 
 
+# kernel-sweep's near-parabolic fixed inputs that p-form misses at 1e-10, as (X1, X2, t L)
+NEAR_PARABOLIC = [
+    (1e-12, 1e12, 0.5), (1e-12, 1e12, 400.0), (1e-13, 1e13, 0.5), (1e-13, 1e13, 400.0),
+    (1e-12, 1000100000000.0, 0.5), (1e-12, 1000100000000.0, 400.0),
+    (1e-13, 10001000000000.0, 0.5), (1e-13, 10001000000000.0, 400.0),
+    (1e-12, 1010000000000.0, 400.0), (1e-13, 10100000000000.0, 400.0),
+]
+# X1 of (X1, 1, 1, 1) whose core geodesic discriminant overflows in p-form, at t = 0.1
+DISCRIMINANT_OVERFLOW = [1e200, 1e160]
+# p-form's y2 = x2 * edge2_gap * edge2_gap / (axis_sq * ...): at (1, 1e103, 1, 1) and t = 0
+# the product is 1e309 before axis_sq = (p1 - p2)^2 = 1e206 divides it back to 1e103.  The
+# identity twist fails once X1 * X2 passes about 5.6e102 at X1 = 1, and 2.6e69 at X1 = 1e-100
+LARGE_X2 = [
+    ((1.0, 1e103, 1.0, 1.0), 0.0),
+    ((1e-100, 1e170, 1.0, 1.0), 0.0),
+    # mpmath gives (1.2676518658578455, 7.888601176185544e102, 1, 1) here
+    ((1.0, 1e103, 1.0, 1.0), 0.001),
+]
+
+
 class TestDocumentedDomain:
     # every positive quadruple in [1e-12, 1e12]^4 and every |t L| below the 650 cap
     def test_p_form_matches_mpmath_reference(self):
+        # and the oracle on every draw, at 1e-12
         reference = load_benchmark_module("reference")
         rng, log_lo, log_hi = random.Random(12345), math.log(1e-12), math.log(1e12)
         far = []
@@ -754,26 +788,48 @@ class TestDocumentedDomain:
             coords = tuple(math.exp(rng.uniform(log_lo, log_hi)) for _ in range(4))
             t = rng.uniform(-649.9, 649.9) / reference.core_length(coords)
             result = twist_p_form(AnnulusCoords(*coords), t)  # no draw may raise
-            # nearer the parabolic limit, rounding of the trace dominates L (the xfails below)
+            exact = [float(v) for v in reference.twist_reference(coords, t)]
+            err = max_rel(twist_oracle(AnnulusCoords(*coords), t), exact)
+            if not err <= 1e-12:
+                far.append(("oracle", coords, t, err))
+            # nearer the parabolic limit, rounding of the trace dominates p-form's L (the xfails)
             if length_trace(coords[0], coords[1])[1] - 2.0 >= 1e-2:
-                err = max_rel(result, [float(v) for v in reference.twist_reference(coords, t)])
+                err = max_rel(result, exact)
                 if not err <= 1e-10:
-                    far.append((coords, t, err))
+                    far.append(("p-form", coords, t, err))
         assert far == []
 
-    # kernel-sweep's near-parabolic fixed inputs that miss 1e-10, at t L = s
+    def test_oracle_matches_mpmath_reference_in_near_parabolic_band(self):
+        # X1 X2 = 1 + delta, X1 log-uniform in [1e-12, 1e2], delta log-uniform in [1e-12, 1]
+        reference = load_benchmark_module("reference")
+        rng, far = random.Random(7), []
+        for _ in range(400):
+            x1 = 10.0 ** rng.uniform(-12.0, 2.0)
+            coords = (x1, (1.0 + 10.0 ** rng.uniform(-12.0, 0.0)) / x1, 1.0, 1.0)
+            length = reference.core_length(coords)
+            t = rng.choice([0.0, 5.0 * length, -5.0 * length, 400.0, -400.0]) / length
+            exact = [float(v) for v in reference.twist_reference(coords, t)]
+            err = max_rel(twist_oracle(AnnulusCoords(*coords), t), exact)
+            if not err <= 1e-12:
+                far.append((coords, t, err))
+        assert far == []
+
     @pytest.mark.xfail(strict=True, reason="tr - 2 cancels in the core length, and the trace "
                                             "check rejects X1 X2 = 1 as not hyperbolic")
-    @pytest.mark.parametrize("x1, x2, s", [
-        (1e-12, 1e12, 0.5), (1e-12, 1e12, 400.0), (1e-13, 1e13, 0.5), (1e-13, 1e13, 400.0),
-        (1e-12, 1000100000000.0, 0.5), (1e-12, 1000100000000.0, 400.0),
-        (1e-13, 10001000000000.0, 0.5), (1e-13, 10001000000000.0, 400.0),
-        (1e-12, 1010000000000.0, 400.0), (1e-13, 10100000000000.0, 400.0),
-    ])
+    @pytest.mark.parametrize("x1, x2, s", NEAR_PARABOLIC)
     def test_near_parabolic_matches_mpmath_reference(self, x1, x2, s):
         reference = load_benchmark_module("reference")
         coords = (x1, x2, 1.0, 1.0)
         t = s / reference.core_length(coords)
+        exact = reference.twist_reference(coords, t)
+        assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
+
+    # next to the band test's worst p-form draw, at t L = -400; the oracle is 2.9e-14 off here
+    @pytest.mark.xfail(strict=True, reason="p-form returns a result 4.0e-2 off and raises nothing")
+    def test_p_form_band_draw_matches_mpmath_reference(self):
+        reference = load_benchmark_module("reference")
+        coords = (2.4655406018552728e-12, 405590562818.1852, 1.0, 1.0)
+        t = -400.0 / reference.core_length(coords)
         exact = reference.twist_reference(coords, t)
         assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
 
@@ -803,25 +859,26 @@ class TestDoubleRange:
         assert reference.max_rel_error(result, reference.dehn_exact(coords, m)) < 1e-10
 
     @pytest.mark.xfail(strict=True, reason="the core geodesic discriminant overflows")
-    @pytest.mark.parametrize("x1", [1e200, 1e160])
+    @pytest.mark.parametrize("x1", DISCRIMINANT_OVERFLOW)
     def test_p_form_matches_mpmath_reference(self, x1):
         coords = (x1, 1.0, 1.0, 1.0)
         exact = load_benchmark_module("reference").twist_reference(coords, 0.1)
         assert max_rel(twist_p_form(AnnulusCoords(*coords), 0.1), [float(v) for v in exact]) < 1e-10
 
-    # p-form's y2 = x2 * edge2_gap * edge2_gap / (axis_sq * ...): at (1, 1e103, 1, 1) and t = 0
-    # the product is 1e309 before axis_sq = (p1 - p2)^2 = 1e206 divides it back to 1e103.  The
-    # identity twist fails once X1 * X2 passes about 5.6e102 at X1 = 1, and 2.6e69 at X1 = 1e-100
     @pytest.mark.xfail(strict=True, reason="p-form's x2 * edge2_gap * edge2_gap overflows")
-    @pytest.mark.parametrize("coords, t", [
-        ((1.0, 1e103, 1.0, 1.0), 0.0),
-        ((1e-100, 1e170, 1.0, 1.0), 0.0),
-        # mpmath gives (1.2676518658578455, 7.888601176185544e102, 1, 1) here
-        ((1.0, 1e103, 1.0, 1.0), 0.001),
-    ])
+    @pytest.mark.parametrize("coords, t", LARGE_X2)
     def test_p_form_large_x2_matches_mpmath_reference(self, coords, t):
         exact = load_benchmark_module("reference").twist_reference(coords, t)
         assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
+
+    def test_oracle_matches_mpmath_reference_where_p_form_xfails(self):
+        reference = load_benchmark_module("reference")
+        cases = [((x1, 1.0, 1.0, 1.0), 0.1) for x1 in DISCRIMINANT_OVERFLOW] + LARGE_X2
+        for x1, x2, s in NEAR_PARABOLIC:
+            cases.append(((x1, x2, 1.0, 1.0), s / reference.core_length((x1, x2, 1.0, 1.0))))
+        for coords, t in cases:
+            exact = [float(v) for v in reference.twist_reference(coords, t)]
+            assert max_rel(twist_oracle(AnnulusCoords(*coords), t), exact) < 1e-12, (coords, t)
 
     def test_p_form_returns_only_accurate_results(self):
         # coordinates 10^u, u uniform in [-300, 300], and |t L| below the cap: a result
