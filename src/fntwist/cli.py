@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``twist``   one twisted quadruple plus the core length and trace
-* ``dehn``    the m-fold Dehn twist (rational map, no transcendentals)
+* ``dehn``    the m-fold Dehn twist, the twist at integer t
 * ``flow``    uniform samples of the flow, emitted as CSV/JSON and
               optionally an SVG polyline of a 2D projection
 * ``verify``  seeded randomized equivalence and invariance suites
@@ -285,9 +285,13 @@ def _trace_invariance(coords, rng):
 
 
 def _dehn_compatibility(coords, rng):
-    return max(_max_rel(dehn_twist(coords, 1), twist_closed_form(coords, 1.0)),
-               _max_rel(dehn_twist(coords, 2), twist_closed_form(coords, 2.0)),
-               _max_rel(dehn_twist(coords, 3), twist_closed_form(coords, 3.0)))
+    """dehn_twist at m = 1, 2, 3 against the rational map, with no transcendental function."""
+    worst, (x1, x2, x3, x4) = 0.0, coords
+    for m in (1, 2, 3):
+        grow = x1 + 1.0
+        x1, x2, x3, x4 = x1 * x1 * x2 / (grow * grow), 1.0 / x1, grow * x3, grow * x4
+        worst = max(worst, _max_rel(dehn_twist(coords, m), (x1, x2, x3, x4)))
+    return worst
 
 
 def _endpoint_round_trip(coords, rng):
@@ -352,7 +356,7 @@ def build_parser() -> _Parser:
     add_common(p_twist, "json")
     p_twist.set_defaults(func=cmd_twist)
 
-    p_dehn = sub.add_parser("dehn", help="m-fold Dehn twist (rational map)")
+    p_dehn = sub.add_parser("dehn", help="m-fold Dehn twist")
     add_common(p_dehn, "json", with_t=False)
     p_dehn.add_argument("--m", type=int, default=1, help="twist count, may be negative")
     p_dehn.set_defaults(func=cmd_dehn)

@@ -2,7 +2,7 @@
 
 Three independent routes compute the twisted quadruple:
 
-* twist_p_form, the one production route, a rational function of e^(t L)
+* twist_p_form, the flow's production route, a rational function of e^(t L)
   and the axis endpoints p1, p2 taken from the quadratic route; callers
   that need no AnnulusCoords (a flow, a local twist) call its two halves,
   core_geodesic and twist_from_core, and a trajectory reuses one core;
@@ -19,9 +19,10 @@ hot path, takes the pair inline for a plain float t); the oracle uses only t.
 stratum_map's det-1 diagonal takes its own e^(+/- t L/2): scaling (moved,
 fixed) to det 1 loses range.
 
-At integer parameters the flow is a power of the Dehn twist, a rational
-map implemented separately in dehn_twist.  All routes accept negative t;
-positive t twists boundary points toward the negative axis endpoint p2.
+At integer parameters the flow is a power of the Dehn twist: dehn_twist
+is the oracle's translation at t = m, O(1) in m, and verify checks it
+against the rational map.  All routes accept negative t; positive t
+twists boundary points toward the negative axis endpoint p2.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .mobius import MobiusMap
 # its scale pair already at 300 to keep intermediates bounded.
 MAX_TWIST_LENGTH = 650.0
 _SHIFT_THRESHOLD = 300.0
+_INF = math.inf  # a module global: one dict load, not math's attribute lookup on top
 
 
 class TwistRangeError(OverflowError):
@@ -86,8 +88,8 @@ def _growth(coords: AnnulusCoords, t, length: float):
 def _checked(values, coords: AnnulusCoords, name: str, value) -> AnnulusCoords:
     """The twisted values as AnnulusCoords, each checked a finite normal double, not their trace."""
     y1, y2, y3, y4 = values  # chained comparisons: False for subnormals, 0, inf and nan alike
-    if not (_MIN_NORMAL <= y1 < math.inf and _MIN_NORMAL <= y2 < math.inf
-            and _MIN_NORMAL <= y3 < math.inf and _MIN_NORMAL <= y4 < math.inf):
+    if not (_MIN_NORMAL <= y1 < _INF and _MIN_NORMAL <= y2 < _INF
+            and _MIN_NORMAL <= y3 < _INF and _MIN_NORMAL <= y4 < _INF):
         raise _out_of_range(f"twisted coordinates {values} left the normal positive finite range",
                             coords, name, value)
     return tuple.__new__(AnnulusCoords, values)
@@ -128,8 +130,8 @@ def twist_from_core(coords: AnnulusCoords, core, t):
     y1, y2 = top1 / bottom1, top2 / bottom2
     ratio = axis_gap / edge2_gap
     y3, y4 = x3 * ratio, x4 * ratio
-    if (_MIN_NORMAL <= y1 < math.inf and _MIN_NORMAL <= y2 < math.inf
-            and _MIN_NORMAL <= y3 < math.inf and _MIN_NORMAL <= y4 < math.inf):
+    if (_MIN_NORMAL <= y1 < _INF and _MIN_NORMAL <= y2 < _INF
+            and _MIN_NORMAL <= y3 < _INF and _MIN_NORMAL <= y4 < _INF):
         return y1, y2, y3, y4
     return _checked((y1, y2, y3, y4), coords, "t", t)  # raises
 
@@ -164,7 +166,22 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
 
 
 def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
-    """Fenchel-Nielsen twist: translate the twist coordinate tau by t L at fixed L.
+    """Fenchel-Nielsen twist: translate the twist coordinate tau by t L at fixed L."""
+    return _fenchel_nielsen(coords, t, "t")
+
+
+def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
+    """m-fold Dehn twist: the Fenchel-Nielsen translation tau -> tau + m L, O(1) in m.
+
+    A count with |m| L above MAX_TWIST_LENGTH fails before m becomes a float.
+    """
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
+    return _fenchel_nielsen(coords, m, "m")
+
+
+def _fenchel_nielsen(coords: AnnulusCoords, t, name: str) -> AnnulusCoords:
+    """The twist by t (name "t", any number) or by the int count m (name "m"), in O(1).
 
     Shares with the p-form only _growth and the result check.  With r = sqrt(X1 X2)
     and d = tr - 2 = ((r - 1)^2 + X1)/r: sinh(L/2) = sqrt(d (d + 4))/2 and
@@ -184,43 +201,19 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     d = rm1 * (rm1 / r) + x1 / r  # not (rm1^2 + X1)/r, whose rm1^2 overflows
     sigma = math.sqrt(d) * math.sqrt(d + 4.0) / 2.0  # sinh(L/2)
     half = math.asinh(sigma)
-    t = _growth(coords, t, 2.0 * half)[0]
-    h = math.asinh((-pm1 - x1) / (2.0 * q1)) + t * half
+    if name == "t":
+        t = _growth(coords, t, 2.0 * half)[0]
+    elif abs(t) > MAX_TWIST_LENGTH / (2.0 * half):  # int-float comparison is exact: no overflow
+        raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {2.0 * half!r})",
+                            coords, name, t)
+    h = math.asinh((-pm1 - x1) / (2.0 * q1)) + t * half  # an int m rounds as float(m) does
     try:
         sh, up = math.sinh(h), math.cosh(h) / sigma
         y2 = up * up
         big = math.hypot(sh, math.sqrt(y2 + 1.0))
     except OverflowError:
-        raise _out_of_range("a Fenchel-Nielsen intermediate overflowed", coords, "t", t) from None
+        raise _out_of_range("a Fenchel-Nielsen intermediate overflowed", coords, name, t) from None
     # sinh h + R cancels for h < 0, where 1/(sinh h + R) = (R - sinh h)/(X2' + 1)
     q1 = 1.0 / (sh + big) if h >= 0.0 else (big - sh) / (y2 + 1.0)
     ratio = r / (q1 * up)  # r / r'
-    return _checked((q1 * q1, y2, x3 * ratio, x4 * ratio), coords, "t", t)
-
-
-def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
-    """m-fold Dehn twist: the integer-parameter flow as a rational map.
-
-    Iterates (X1^2 X2/(X1+1)^2, 1/X1, (X1+1) X3, (X1+1) X4) for positive m
-    and its rational inverse for negative m.  No transcendental function
-    enters the output, so it is an exact rational expression in the inputs
-    up to rounding; only the guard that |m| L stays within MAX_TWIST_LENGTH,
-    checked before iterating, uses the core length L.
-    """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
-    x1, x2, x3, x4 = coords
-    length = length_trace(x1, x2)[0]
-    if abs(m) > MAX_TWIST_LENGTH / length:  # int-float comparison is exact: no overflow for huge m
-        raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {length!r})",
-                            coords, "m", m)
-    try:  # one of the two ranges is empty
-        for _ in range(m):
-            grow = x1 + 1.0
-            x1, x2, x3, x4 = x1 * x1 * x2 / (grow * grow), 1.0 / x1, grow * x3, grow * x4
-        for _ in range(-m):  # the forward map solved for its preimage
-            shrink = x2 / (1.0 + x2)
-            x1, x2, x3, x4 = 1.0 / x2, x1 * (1.0 + x2) ** 2, shrink * x3, shrink * x4
-    except ArithmeticError as exc:  # a coordinate reached 0 or overflowed mid-iteration
-        raise _out_of_range(f"Dehn iteration raised {type(exc).__name__}", coords, "m", m) from None
-    return _checked((x1, x2, x3, x4), coords, "m", m)
+    return _checked((q1 * q1, y2, x3 * ratio, x4 * ratio), coords, name, t)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -438,23 +439,34 @@ P_FORM_BITS = [
     ((1e-08, 300000.0, 0.7, 12.0), 0.0,
      "0x1.5798ee2308c3ap-27 0x1.24f8000000001p+18 0x1.6666666666666p-1 0x1.8000000000000p+3"),
 ]
-# frozen float.hex of dehn_twist outputs for m = +/-1, +/-7
+# frozen float.hex of dehn_twist outputs for m = +/-1, +/-7, recorded from the
+# Fenchel-Nielsen translation; each is within 1.6e-15 of reference.dehn_exact. The
+# second string is what the per-step rational loop gave, 11 ulps or fewer away; it
+# names the case
 DEHN_BITS = [
     ((1.0, 1.0, 1.0, 1.0), 1,
+     "0x1.0000000000000p-2 0x1.0000000000000p+0 0x1.0000000000000p+1 0x1.0000000000000p+1",
      "0x1.0000000000000p-2 0x1.0000000000000p+0 0x1.0000000000000p+1 0x1.0000000000000p+1"),
     ((1.0, 1.0, 1.0, 1.0), -1,
+     "0x1.0000000000000p+0 0x1.0000000000002p+2 0x1.ffffffffffffep-2 0x1.ffffffffffffep-2",
      "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.0000000000000p-1 0x1.0000000000000p-1"),
     ((1.0, 1.0, 1.0, 1.0), 7,
+     "0x1.68b410c3ce7f6p-19 0x1.a822000000000p+15 0x1.4f1b77c278dbcp+1 0x1.4f1b77c278dbcp+1",
      "0x1.68b410c3ce7f6p-19 0x1.a822000000001p+15 0x1.4f1b77c278dbdp+1 0x1.4f1b77c278dbdp+1"),
     ((1.0, 1.0, 1.0, 1.0), -7,
+     "0x1.350907ba8cd01p-16 0x1.6b6100000000ap+18 0x1.872269c1e3764p-2 0x1.872269c1e3764p-2",
      "0x1.350907ba8cd08p-16 0x1.6b61000000000p+18 0x1.872269c1e3767p-2 0x1.872269c1e3767p-2"),
     ((2.0, 0.5, 3.0, 0.25), 1,
+     "0x1.c71c71c71c71ep-3 0x1.0000000000001p-1 0x1.2000000000001p+3 0x1.8000000000001p-1",
      "0x1.c71c71c71c71cp-3 0x1.0000000000000p-1 0x1.2000000000000p+3 0x1.8000000000000p-1"),
     ((2.0, 0.5, 3.0, 0.25), -1,
+     "0x1.ffffffffffffep+0 0x1.1ffffffffffffp+2 0x1.0000000000002p+0 0x1.5555555555558p-4",
      "0x1.0000000000000p+1 0x1.2000000000000p+2 0x1.0000000000000p+0 0x1.5555555555555p-4"),
     ((2.0, 0.5, 3.0, 0.25), 7,
+     "0x1.0f9e1a389fa32p-25 0x1.152ba40000006p+21 0x1.6646e0a54d014p+3 0x1.ddb3d631bc01ap-1",
      "0x1.0f9e1a389fa3dp-25 0x1.152ba3ffffffcp+21 0x1.6646e0a54d011p+3 0x1.ddb3d631bc018p-1"),
     ((2.0, 0.5, 3.0, 0.25), -7,
+     "0x1.d8e4a168d2b4dp-22 0x1.e28f907fffffbp+24 0x1.9b91e9ca1d8cdp-1 0x1.12614686be5dep-4",
      "0x1.d8e4a168d2b4ap-22 0x1.e28f908000000p+24 0x1.9b91e9ca1d8cbp-1 0x1.12614686be5dcp-4"),
 ]
 
@@ -466,11 +478,13 @@ class TestKernelBits:
         assert type(result) is AnnulusCoords
         assert " ".join([x.hex() for x in result]) == expected
 
-    @pytest.mark.parametrize("quadruple, m, expected", DEHN_BITS)
-    def test_dehn_twist_keeps_its_bits(self, quadruple, m, expected):
+    @pytest.mark.parametrize("quadruple, m, expected, loop", DEHN_BITS, ids=[
+        f"quadruple{i}-{m}-{loop}" for i, (_, m, _, loop) in enumerate(DEHN_BITS)])
+    def test_dehn_twist_keeps_its_bits(self, quadruple, m, expected, loop):
         result = dehn_twist(AnnulusCoords(*quadruple), m)
         assert type(result) is AnnulusCoords
         assert " ".join([x.hex() for x in result]) == expected
+        assert max_rel(result, [float.fromhex(x) for x in loop.split()]) < 4e-15
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("s", [299.5, 300.0, 300.5, 649.99, 650.0])
@@ -626,20 +640,21 @@ class TestDehnTwist:
         assert max_rel(dehn_twist(coords, -1), twist_closed_form(coords, -1.0)) < 1e-9
 
     def test_no_transcendental_calls(self, monkeypatch):
-        # the rational map must never touch the exponential family; the one
-        # transcendental input, L for the |m| L guard, is stubbed with its value
+        # verify checks dehn_twist against a walk of the rational map that touches no
+        # transcendental function; dehn_twist is stubbed with the exact map, so the
+        # suite's error is the walk's own
+        reference = load_benchmark_module("reference")
         coords = AnnulusCoords(2, 3, 0.5, 4)
-        core = length_trace(coords.x1, coords.x2)
-        monkeypatch.setattr(fntwist.twist, "length_trace",
-                            lambda x1, x2: core if (x1, x2) == (2.0, 3.0) else None)
+        exact = {m: tuple(float(v) for v in reference.dehn_exact(coords, m)) for m in (1, 2, 3)}
+        monkeypatch.setattr(fntwist.cli, "dehn_twist", lambda _coords, m: exact[m])
 
         def boom(*_args):
-            raise AssertionError("transcendental call inside dehn_twist")
+            raise AssertionError("transcendental call in the dehn-compatibility suite")
 
-        for name in ("exp", "expm1", "cosh", "sinh", "tanh", "acosh", "log", "log1p"):
+        for name in ("exp", "expm1", "cosh", "sinh", "tanh", "acosh", "asinh", "log", "log1p",
+                     "sqrt", "hypot"):
             monkeypatch.setattr(math, name, boom)
-        result = dehn_twist(coords, 3)
-        assert all(v > 0.0 for v in result.as_tuple())
+        assert fntwist.cli._dehn_compatibility(coords, None) < 1e-15
 
     @pytest.mark.parametrize("m", [10, -10, 40, -40])
     def test_many_steps_match_exact_rational_map(self, m):
@@ -675,6 +690,30 @@ class TestDehnTwist:
             dehn_twist(UNIT, sign * 10**5000)
         size = "<16610-bit int>" if sign > 0 else "-<16610-bit int>"
         assert f"for coords (1.0, 1.0, 1.0, 1.0), m = {size};" in str(info.value)
+
+    def test_long_count_costs_one_step(self):
+        # |m| L = 632, below the cap: a loop of 10**8 rational steps runs for seconds, then fails
+        reference = load_benchmark_module("reference")
+        coords, m = (1e-11, 1e11, 1.0, 1.0), 10**8
+        start = time.perf_counter()
+        result = dehn_twist(AnnulusCoords(*coords), m)
+        assert time.perf_counter() - start < 1.0
+        exact = [float(v) for v in reference.twist_reference(coords, float(m))]
+        assert max_rel(result, exact) < 1e-10  # 3.2e-14 measured
+
+    def test_documented_domain_matches_mpmath_reference(self):
+        # log-uniform in [1e-12, 1e12]^4 with |m| L up to 649.9, against the flow at t = m;
+        # worst 1.8e-13, median 1.5e-14 measured
+        reference = load_benchmark_module("reference")
+        rng, log_lo, log_hi, far = random.Random(2701), math.log(1e-12), math.log(1e12), []
+        for _ in range(1000):
+            coords = tuple(math.exp(rng.uniform(log_lo, log_hi)) for _ in range(4))
+            m = int(rng.uniform(-649.9, 649.9) / reference.core_length(coords)) or 1
+            exact = [float(v) for v in reference.twist_reference(coords, float(m))]
+            err = max_rel(dehn_twist(AnnulusCoords(*coords), m), exact)
+            if not err <= 1e-12:
+                far.append((coords, m, err))
+        assert far == []
 
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
@@ -730,7 +769,7 @@ class TestTraceCheck:
         (lambda: twist_p_form(COUNTED, 0.7), 1),
         (lambda: twist_closed_form(COUNTED, 0.7), 1),
         (lambda: twist_oracle(COUNTED, 0.7), 0),  # every positive quadruple has d > 0: no check
-        (lambda: dehn_twist(COUNTED, 2), 1),
+        (lambda: dehn_twist(COUNTED, 2), 0),  # the oracle's route
         # entries 2, 5, 1, 3 are COUNTED
         (lambda: apply_local_twist(SurfaceCoords((3.0, 2.0, 0.25, 7.0, 0.5)),
                                    AnnulusEmbedding(2, 5, 1, 3), 0.7), 1),
@@ -837,8 +876,7 @@ class TestDocumentedDomain:
 class TestDoubleRange:
     # results mpmath gives as normal doubles that the kernels still refuse: an
     # intermediate leaves double range before the result does
-    @pytest.mark.xfail(strict=True, reason="a forward Dehn step's x1 * x1 * x2 underflows, "
-                                            "a backward one's (1 + x2) ** 2 overflows")
+    # a loop of rational steps underflows X1 forward and overflows (1 + X2)^2 backward here
     @pytest.mark.parametrize("m", [170, -170, 200, -200, 250, -250])
     def test_dehn_twist_matches_mpmath_reference(self, m):
         # the flow at t = m is the m-fold Dehn twist; mpmath takes ms where dehn_exact takes s
@@ -846,8 +884,8 @@ class TestDoubleRange:
         exact = load_benchmark_module("reference").twist_reference(coords, float(m))
         assert max_rel(dehn_twist(AnnulusCoords(*coords), m), [float(v) for v in exact]) < 1e-10
 
-    # a forward step's x1 * x1 is subnormal before * x2 brings it back: (3.9e-162)^2 at step 7
-    @pytest.mark.xfail(strict=True, reason="a forward Dehn step's x1 * x1 goes subnormal")
+    # a loop's forward step took x1 * x1 subnormal before * x2 brought it back: (3.9e-162)^2
+    # at step 7, so the loop was 4.5e-2 and 1.6e-2 off here
     @pytest.mark.parametrize("coords, m", [
         ((629044748.9276872, 2.2530370261036243e+29, 18985.46381885888, 5.933403443211474e-28), 7),
         ((4.0641168325449895e-14, 6.12385379256417e-17, 3.957453826540358e-09,
