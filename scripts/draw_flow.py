@@ -47,7 +47,7 @@ def main():
     for start, samples, color in zip(STARTS, flows, PALETTE):
         csv_path = os.path.join(args.out, "flow_" + "_".join(f"{v:g}" for v in start) + ".csv")
         with open(csv_path, "w", newline="") as fp:
-            fp.write(format_csv(samples))
+            format_csv(samples, fp)
         curves.append((samples, color))
         trace = core_geodesic(AnnulusCoords(*start))[1]
         drift = max(abs(s[6] - trace) / trace for s in samples)  # s[6]: trace column

@@ -10,20 +10,22 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
 Output formatting is fixed (17 significant digits, newline-terminated) so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files.  A command opens its destination
+once its result is computed, and ``flow`` writes its text _BLOCK rows at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 from .annulus import AnnulusCoords, core_geodesic, coords_from_endpoints, endpoints, length_trace
 from .sampling import Lcg, random_coords
-from .twist import (_growth, dehn_twist, twist_closed_form, twist_from_core, twist_oracle,
-                    twist_p_form)
+from .twist import (_growth, _translation_core, dehn_twist, twist_closed_form, twist_from_core,
+                    twist_oracle, twist_p_form)
 
 # a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
@@ -31,11 +33,13 @@ CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
 # json.dumps(indent=2) gives it, split after X4.  "%r" writes float.__repr__,
 # the text json writes for a finite float; every sample value is finite.  The
 # flow preserves L and trace, so a trajectory repeats a few (L, trace) pairs
-# while t and X1..X4 change on every row: _rows formats each pair once.
+# while t and X1..X4 change on every row: _write_rows formats each pair once.
 _NAMES = CSV_HEADER.split(",")
 _CSV_HEAD, _CSV_TAIL = "%.17g," * 5, "%.17g,%.17g\n"
 _JSON_HEAD = "    {\n" + "".join(f"      {json.dumps(k)}: %r,\n" for k in _NAMES[:5])
 _JSON_TAIL = ",\n".join(f"      {json.dumps(k)}: %r" for k in _NAMES[5:]) + "\n    }"
+# flow rows per write: about 240 KB of JSON, and few system calls on an unbuffered stdout
+_BLOCK = 1024
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -74,12 +78,9 @@ def parse_projection(text: str):
     return [(name, *_AXES[name]) for name in parts]
 
 
-def _write_text(text: str, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fp:
-            fp.write(text)
+def _output(path):
+    """A context manager for a command's text stream: stdout, left open, or the file at path."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 # verify compares positive doubles only: the error is |a - b| over the larger of the two
@@ -97,17 +98,13 @@ def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
 
 # ---------------------------------------------------------------- twist/dehn
 
-def _quadruple_report(args, kernel, name, value):
-    """Write kernel(coords, value) for the parsed --coords, with the core length and trace."""
+def _quadruple_report(args, kernel, name, value, core):
+    """Write kernel(coords, value) for the parsed --coords, with core(X1, X2)'s L and trace."""
     coords = parse_coords(args.coords)
     result = kernel(coords, value)
-    length, trace = length_trace(coords[0], coords[1])
+    length, trace = core(coords[0], coords[1])[:2]
     if args.format == "csv":
-        lines = [
-            ",".join(_NAMES[1:]),
-            ",".join(f"{v:.17g}" for v in (*result, length, trace)),
-        ]
-        _write_text("\n".join(lines) + "\n", args.out)
+        text = ",".join(_NAMES[1:]) + "\n" + ",".join(f"{v:.17g}" for v in (*result, length, trace))
     else:
         payload = {
             "input": {"coords": list(coords), name: value},
@@ -115,16 +112,19 @@ def _quadruple_report(args, kernel, name, value):
             "trace": trace,
             "output": list(result),
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        text = json.dumps(payload, indent=2)
+    with _output(args.out) as out:
+        out.write(text + "\n")
     return 0
 
 
 def cmd_twist(args) -> int:
-    return _quadruple_report(args, twist_p_form, "t", args.t)
+    return _quadruple_report(args, twist_p_form, "t", args.t, length_trace)
 
 
 def cmd_dehn(args) -> int:
-    return _quadruple_report(args, dehn_twist, "m", args.m)
+    # the translation's own L and trace: length_trace's margin would refuse inputs it serves
+    return _quadruple_report(args, dehn_twist, "m", args.m, _translation_core)
 
 
 # ----------------------------------------------------------------------- flow
@@ -154,29 +154,37 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     return samples
 
 
-def _rows(head, tail, samples):
-    """Each sample as head % (t, X1..X4) + tail % (L, trace), the tail once per distinct pair.
+def _write_rows(out, head, tail, samples, sep=""):
+    """Write each sample as head % (t, X1..X4) + tail % (L, trace), rows joined by sep.
 
-    L and trace are positive and finite, so equal pairs mean equal text: no -0.0, no NaN.
+    One out.write per _BLOCK rows.  The tail is formatted once per distinct (L, trace)
+    pair: both are positive and finite, so equal pairs mean equal text (no -0.0, no NaN).
     """
     tails = {pair: tail % pair for pair in {s[5:] for s in samples}}
-    return [head % (t, x1, x2, x3, x4) + tails[length, trace]
-            for t, x1, x2, x3, x4, length, trace in samples]
+    for start in range(0, len(samples), _BLOCK):
+        rows = [""] if start else []  # so that a block after the first starts with sep
+        rows += [head % (t, x1, x2, x3, x4) + tails[length, trace]
+                 for t, x1, x2, x3, x4, length, trace in samples[start:start + _BLOCK]]
+        out.write(sep.join(rows))
 
 
-def format_csv(samples) -> str:
-    return CSV_HEADER + "\n" + "".join(_rows(_CSV_HEAD, _CSV_TAIL, samples))
+def format_csv(samples, out) -> None:
+    """Write the flow CSV to the text stream out: the header, then the rows in blocks."""
+    out.write(CSV_HEADER + "\n")
+    _write_rows(out, _CSV_HEAD, _CSV_TAIL, samples)
 
 
-def format_flow_json(coords, t_max, steps, samples) -> str:
+def format_flow_json(coords, t_max, steps, samples, out) -> None:
+    """Write the flow JSON, as json.dumps(indent=2) lays it out, to the text stream out."""
     length, trace = length_trace(coords[0], coords[1])
     head = json.dumps({
         "input": {"coords": list(coords), "t_max": t_max, "steps": steps},
         "invariants": {"L": length, "trace": trace},
     }, indent=2)
-    rows = ",\n".join(_rows(_JSON_HEAD, _JSON_TAIL, samples))
     # head ends with the closing "\n}"; the samples list goes in before it
-    return f'{head[:-2]},\n  "samples": [\n{rows}\n  ]\n}}\n'
+    out.write(f'{head[:-2]},\n  "samples": [\n')
+    _write_rows(out, _JSON_HEAD, _JSON_TAIL, samples, ",\n")
+    out.write("\n  ]\n}\n")
 
 
 def _axis_values(samples, axis) -> list:
@@ -255,13 +263,16 @@ def render_svg(curves, proj) -> str:
 def cmd_flow(args) -> int:
     coords = parse_coords(args.coords)
     proj = parse_projection(args.proj)
-    samples = sample_flow(coords, args.t, args.steps)
-    if args.format == "csv":
-        _write_text(format_csv(samples), args.out)
-    else:
-        _write_text(format_flow_json(coords, args.t, args.steps, samples), args.out)
+    samples = sample_flow(coords, args.t, args.steps)  # a flow that fails here opens no file
+    with _output(args.out) as out:
+        if args.format == "csv":
+            format_csv(samples, out)
+        else:
+            format_flow_json(coords, args.t, args.steps, samples, out)
     if args.svg is not None:
-        _write_text(render_svg([(samples, "magenta")], proj), args.svg)
+        svg = render_svg([(samples, "magenta")], proj)
+        with _output(args.svg) as out:
+            out.write(svg)
     return 0
 
 

@@ -180,16 +180,13 @@ def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
     return _fenchel_nielsen(coords, m, "m")
 
 
-def _fenchel_nielsen(coords: AnnulusCoords, t, name: str) -> AnnulusCoords:
-    """The twist by t (name "t", any number) or by the int count m (name "m"), in O(1).
+def _translation_core(x1: float, x2: float):
+    """(L, tr, sinh(L/2), sqrt X1, r, X1 X2 - 1) of the translation, for any positive X1, X2.
 
-    Shares with the p-form only _growth and the result check.  With r = sqrt(X1 X2)
-    and d = tr - 2 = ((r - 1)^2 + X1)/r: sinh(L/2) = sqrt(d (d + 4))/2 and
-    sinh(tau/2) = (1 - X1 X2 - X1)/(2 sqrt(X1)); X3 r and X4 r are invariant.
-    With h = (tau + t L)/2 the result has X2' = (cosh h / sinh(L/2))^2 and
-    sqrt(X1') = 1/(sinh h + R), R = hypot(sinh h, sqrt(X2' + 1)).
+    With r = sqrt(X1 X2) and d = tr - 2 = ((r - 1)^2 + X1)/r: sinh(L/2) = sqrt(d (d + 4))/2,
+    L = 2 asinh(sinh(L/2)) and tr = 2 + d.  d > 0 keeps its digits where tr - 2 would
+    cancel, so, unlike length_trace, no input is too close to parabolic.
     """
-    x1, x2, x3, x4 = coords
     q1 = math.sqrt(x1)
     r = q1 * math.sqrt(x2)
     if 0.5 < r < 1.5:  # X1 X2 - 1 cancels: round it once from the exact product
@@ -199,14 +196,26 @@ def _fenchel_nielsen(coords: AnnulusCoords, t, name: str) -> AnnulusCoords:
     else:
         pm1, rm1 = x1 * x2 - 1.0, r - 1.0
     d = rm1 * (rm1 / r) + x1 / r  # not (rm1^2 + X1)/r, whose rm1^2 overflows
-    sigma = math.sqrt(d) * math.sqrt(d + 4.0) / 2.0  # sinh(L/2)
-    half = math.asinh(sigma)
+    sigma = math.sqrt(d) * math.sqrt(d + 4.0) / 2.0
+    return 2.0 * math.asinh(sigma), 2.0 + d, sigma, q1, r, pm1
+
+
+def _fenchel_nielsen(coords: AnnulusCoords, t, name: str) -> AnnulusCoords:
+    """The twist by t (name "t", any number) or by the int count m (name "m"), in O(1).
+
+    Shares with the p-form only _growth and the result check.  With _translation_core's
+    invariants, sinh(tau/2) = (1 - X1 X2 - X1)/(2 sqrt(X1)), and X3 r and X4 r are invariant.
+    With h = (tau + t L)/2 the result has X2' = (cosh h / sinh(L/2))^2 and
+    sqrt(X1') = 1/(sinh h + R), R = hypot(sinh h, sqrt(X2' + 1)).
+    """
+    x1, x2, x3, x4 = coords
+    length, _, sigma, q1, r, pm1 = _translation_core(x1, x2)
     if name == "t":
-        t = _growth(coords, t, 2.0 * half)[0]
-    elif abs(t) > MAX_TWIST_LENGTH / (2.0 * half):  # int-float comparison is exact: no overflow
-        raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {2.0 * half!r})",
+        t = _growth(coords, t, length)[0]
+    elif abs(t) > MAX_TWIST_LENGTH / length:  # int-float comparison is exact: no overflow
+        raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {length!r})",
                             coords, name, t)
-    h = math.asinh((-pm1 - x1) / (2.0 * q1)) + t * half  # an int m rounds as float(m) does
+    h = math.asinh((-pm1 - x1) / (2.0 * q1)) + t * (length / 2.0)  # an int m rounds as float(m)
     try:
         sh, up = math.sinh(h), math.cosh(h) / sigma
         y2 = up * up

@@ -4,8 +4,11 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,29 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run(argv):
     return main(argv)
+
+
+def csv_text(samples) -> str:
+    out = io.StringIO()
+    format_csv(samples, out)
+    return out.getvalue()
+
+
+def json_text(coords, t_max, steps, samples) -> str:
+    out = io.StringIO()
+    format_flow_json(coords, t_max, steps, samples, out)
+    return out.getvalue()
+
+
+class CountingSink:
+    """A text stream that keeps only the number of writes and of characters written."""
+
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
 
 
 class TestTwistCommand:
@@ -156,6 +182,16 @@ class TestDehnCommand:
         exact = load_benchmark_module("reference").twist_reference((1.3, 0.7, 2.0, 0.5), float(m))
         assert max_rel(output, [float(e) for e in exact]) < 1e-10
 
+    def test_near_parabolic_input_exits_zero(self, capsys):
+        # length_trace refuses this trace, 2 + 1e-12, as too close to 2; the translation serves it
+        assert run(["dehn", "--coords", "1e-12,1e12,1,1", "--m", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        reference = load_benchmark_module("reference")
+        exact = reference.twist_reference((1e-12, 1e12, 1.0, 1.0), 1.0)
+        assert max_rel(payload["output"], [float(e) for e in exact]) < 1e-10
+        assert rel_err(payload["L"], reference.core_length((1e-12, 1e12))) < 1e-10
+        assert rel_err(payload["trace"], 2.000000000001) < 1e-15
+
     @pytest.mark.parametrize("m", [10**8, 10**400], ids=["1e8", "1e400"])
     def test_count_beyond_cap_exit_one(self, m, capsys):
         assert run(["dehn", "--coords", "1e-10,1e10,1,1", "--m", str(m)]) == 1
@@ -220,6 +256,25 @@ class TestFlowCommand:
         assert err == ("error: holonomy is not hyperbolic: |trace| = 2.000000000001 is too close "
                        "to 2 for X1 = 1.0000999999999997e-12, X2 = 999900000000.0004; flow sample "
                        "at t = 0.0 from coords (1.0001e-12, 999900000000.0, 1.0, 1.0)\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejected_sample_writes_no_file(self, fmt, tmp_path):
+        out, svg = tmp_path / f"flow.{fmt}", tmp_path / "flow.svg"
+        assert run(["flow", "--coords", "1.0001e-12,999900000000,1,1", "--t", "1",
+                    "--format", fmt, "--out", str(out), "--svg", str(svg)]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_equals_out_file_bytes(self, fmt, tmp_path):
+        # several blocks through an unbuffered stdout, where each block is one write(2)
+        argv = [sys.executable, "-m", "fntwist.cli", "flow", "--coords", "1,1,1,1", "--t", "1",
+                "--steps", str(3 * cli._BLOCK), "--format", fmt]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONUNBUFFERED="1")
+        piped = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=60)
+        out = tmp_path / f"flow.{fmt}"
+        subprocess.run(argv + ["--out", str(out)], env=env, check=True, timeout=60)
+        assert piped.stdout == out.read_bytes()
+        assert piped.stdout.count(b"\n") > 3 * cli._BLOCK
 
     def test_readme_example_matches_golden_digests(self, tmp_path):
         golden = ROOT / "benchmarks" / "golden_sha256.json"
@@ -359,8 +414,8 @@ class TestFlowAcrossShiftedBranch:
             assert row == (t, *point.as_tuple(), length, trace)
 
     def test_formatters_equal_reference_bytes(self, samples):
-        assert format_csv(samples) == format_csv_reference(samples)
-        assert (format_flow_json(self.START, self.T_MAX, self.STEPS, samples)
+        assert csv_text(samples) == format_csv_reference(samples)
+        assert (json_text(self.START, self.T_MAX, self.STEPS, samples)
                 == format_flow_json_reference(self.START, self.T_MAX, self.STEPS, samples))
 
     @pytest.mark.parametrize("proj", ["logX1,logX2", "X3,X4"])
@@ -385,17 +440,47 @@ class TestFormatterBytes:
     def test_long_flow_equals_reference_bytes(self):
         samples = sample_flow(self.START, 1.0, 20000)
         assert len({s[3:5] for s in samples}) > 19000  # X3, X4 move on every row here
-        assert first_difference(format_csv(samples), format_csv_reference(samples)) is None
-        assert first_difference(format_flow_json(self.START, 1.0, 20000, samples),
+        assert first_difference(csv_text(samples), format_csv_reference(samples)) is None
+        assert first_difference(json_text(self.START, 1.0, 20000, samples),
                                 format_flow_json_reference(self.START, 1.0, 20000, samples)) is None
+
+    @pytest.mark.parametrize("rows", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
+                                      2 * cli._BLOCK + 1])
+    def test_block_edges_equal_reference_bytes(self, rows):
+        samples = sample_flow(self.START, 1.0, 2 * cli._BLOCK + 1)[:rows]
+        assert csv_text(samples) == format_csv_reference(samples)
+        assert (json_text(self.START, 1.0, rows, samples)
+                == format_flow_json_reference(self.START, 1.0, rows, samples))
+
+    @pytest.mark.parametrize("steps", [1, cli._BLOCK, 20000])
+    def test_one_write_per_block(self, steps):
+        samples = sample_flow(self.START, 1.0, steps)
+        bound = -(-len(samples) // cli._BLOCK) + 2  # the header, the blocks, the JSON trailer
+        for write in (lambda sink: format_csv(samples, sink),
+                      lambda sink: format_flow_json(self.START, 1.0, steps, samples, sink)):
+            sink = CountingSink()
+            write(sink)
+            assert sink.writes <= bound
+
+    def test_json_memory_stays_one_block(self):
+        # a document built whole before it is written peaks at about 2.3 times its text
+        samples = sample_flow(self.START, 1.0, 20000)
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            format_flow_json(self.START, 1.0, 20000, samples, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 4_000_000 and peak < 0.25 * sink.chars
 
     @settings(max_examples=60, deadline=None)
     @given(_PAIRS, st.lists(st.tuples(*[_POSITIVE] * 5), min_size=1, max_size=40),
            st.lists(st.integers(0, 11), min_size=40, max_size=40))
     def test_recurring_pairs_equal_reference_bytes(self, pairs, heads, picks):
         rows = [head + pairs[k % len(pairs)] for head, k in zip(heads, picks)]
-        assert format_csv(rows) == format_csv_reference(rows)
-        assert (format_flow_json(self.START, 2.0, len(rows), rows)
+        assert csv_text(rows) == format_csv_reference(rows)
+        assert (json_text(self.START, 2.0, len(rows), rows)
                 == format_flow_json_reference(self.START, 2.0, len(rows), rows))
 
 

@@ -775,7 +775,9 @@ class TestTraceCheck:
                                    AnnulusEmbedding(2, 5, 1, 3), 0.7), 1),
         # the kernel's check, then the report's L and trace columns
         (lambda: fntwist.cli.main(["twist", "--coords", "2,0.5,3,0.25", "--t", "0.7"]) == 0, 2),
-    ], ids=["p-form", "closed-form", "oracle", "dehn", "local-twist", "cli-twist"])
+        # L and trace come from the translation's own invariants, as in dehn_twist
+        (lambda: fntwist.cli.main(["dehn", "--coords", "2,0.5,3,0.25", "--m", "2"]) == 0, 0),
+    ], ids=["p-form", "closed-form", "oracle", "dehn", "local-twist", "cli-twist", "cli-dehn"])
     def test_trace_is_checked_once_per_call(self, monkeypatch, capsys, call, checks):
         # the margin is infinite except inside the counting wrapper, so a trace
         # check made anywhere but in length_trace rejects every input
