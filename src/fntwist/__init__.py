@@ -2,12 +2,12 @@
 
 The flow along the core curve of a one-marked-point-per-boundary annulus
 has a closed form in the four positive cross-ratio coordinates.  This
-package computes it with the p-form, written in the axis endpoints of the
-core geodesic, which is the production route; the closed form and a
-Fenchel-Nielsen oracle, which shares no algebra with the p-form, are the
-references it is checked against.  It also provides the Dehn twist, the
-oracle's translation at an integer parameter in O(1), and the local
-application of the twist inside coordinate vectors of larger surfaces.
+package samples the flow with the p-form, written in the axis endpoints of
+the core geodesic, and twists one point with the Fenchel-Nielsen oracle,
+which shares no algebra with the p-form; verify checks both and the closed
+form against each other.  It also provides the Dehn twist, the oracle's
+translation at an integer parameter in O(1), and the local application of
+the twist inside coordinate vectors of larger surfaces.
 """
 
 from .annulus import (

@@ -2,10 +2,11 @@
 
 Subcommands:
 
-* ``twist``   one twisted quadruple plus the core length and trace
-* ``dehn``    the m-fold Dehn twist, the twist at integer t
-* ``flow``    uniform samples of the flow, emitted as CSV/JSON and
-              optionally an SVG polyline of a 2D projection
+* ``twist``   one twisted quadruple plus the core length and trace, by the
+              Fenchel-Nielsen translation
+* ``dehn``    the same report at integer t, the m-fold Dehn twist
+* ``flow``    uniform samples of the flow by the p-form, emitted as CSV/JSON
+              and optionally an SVG polyline of a 2D projection
 * ``verify``  seeded randomized equivalence and invariance suites
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
@@ -98,11 +99,12 @@ def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
 
 # ---------------------------------------------------------------- twist/dehn
 
-def _quadruple_report(args, kernel, name, value, core):
-    """Write kernel(coords, value) for the parsed --coords, with core(X1, X2)'s L and trace."""
+def _quadruple_report(args, kernel, name, value):
+    """Write kernel(coords, value) for the parsed --coords, with the translation's L and trace."""
     coords = parse_coords(args.coords)
     result = kernel(coords, value)
-    length, trace = core(coords[0], coords[1])[:2]
+    # not length_trace's: its margin refuses inputs that both kernels serve
+    length, trace = _translation_core(coords[0], coords[1])[:2]
     if args.format == "csv":
         text = ",".join(_NAMES[1:]) + "\n" + ",".join(f"{v:.17g}" for v in (*result, length, trace))
     else:
@@ -119,12 +121,11 @@ def _quadruple_report(args, kernel, name, value, core):
 
 
 def cmd_twist(args) -> int:
-    return _quadruple_report(args, twist_p_form, "t", args.t, length_trace)
+    return _quadruple_report(args, twist_oracle, "t", args.t)
 
 
 def cmd_dehn(args) -> int:
-    # the translation's own L and trace: length_trace's margin would refuse inputs it serves
-    return _quadruple_report(args, dehn_twist, "m", args.m, _translation_core)
+    return _quadruple_report(args, dehn_twist, "m", args.m)
 
 
 # ----------------------------------------------------------------------- flow

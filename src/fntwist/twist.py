@@ -2,22 +2,22 @@
 
 Three independent routes compute the twisted quadruple:
 
-* twist_p_form, the flow's production route, a rational function of e^(t L)
-  and the axis endpoints p1, p2 taken from the quadratic route; callers
-  that need no AnnulusCoords (a flow, a local twist) call its two halves,
+* twist_p_form, the flow's route, a rational function of e^(t L) and the
+  axis endpoints p1, p2 taken from the quadratic route; callers that need
+  no AnnulusCoords (a flow, a local twist) call its two halves,
   core_geodesic and twist_from_core, and a trajectory reuses one core;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
 * twist_oracle, the Fenchel-Nielsen translation tau -> tau + t L of the
-  twist coordinate at fixed core length L, a check that shares no algebra
-  with the p-form.  stratum_map gives the map of the moving side as a matrix.
+  twist coordinate at fixed core length L, sharing no algebra with the
+  p-form; fntwist twist runs it.  stratum_map gives the moving side's map.
 
-_growth owns t: it converts, checks and caps it and returns it with the scale
-pair (moved, fixed), moved / fixed = e^(t L), so p-form and the closed form
-write each gap A e^(t L) - B once, as A moved - B fixed (twist_from_core, the
-hot path, takes the pair inline for a plain float t); the oracle uses only t.
-stratum_map's det-1 diagonal takes its own e^(+/- t L/2): scaling (moved,
-fixed) to det 1 loses range.
+_growth owns t and the Dehn count m: it converts, checks and caps either and
+returns it with the scale pair (moved, fixed), moved / fixed = e^(t L), so
+p-form and the closed form write each gap A e^(t L) - B once, as A moved - B
+fixed (twist_from_core, the hot path, takes the pair inline for a plain float
+t); the oracle uses only t.  stratum_map's det-1 diagonal takes its own
+e^(+/- t L/2): scaling (moved, fixed) to det 1 loses range.
 
 At integer parameters the flow is a power of the Dehn twist: dehn_twist
 is the oracle's translation at t = m, O(1) in m, and verify checks it
@@ -65,24 +65,25 @@ def _out_of_range(why: str, coords: AnnulusCoords, name: str, value) -> TwistRan
                            "result not representable")
 
 
-def _growth(coords: AnnulusCoords, t, length: float):
+def _growth(coords: AnnulusCoords, t, length: float, name: str = "t"):
     """t as a float with its scale pair: (t, e^(t L), 1.0), or (t, 1.0, e^(-t L)) past 300.
 
-    ValueError for a non-finite t; TwistRangeError past the |t| L cap or float range.
+    The one check of t and of the Dehn count m (name "m"): ValueError for a non-finite t;
+    TwistRangeError past the |t| L cap or float range, naming the parameter as given.
     """
     try:
-        t = float(t)
+        value = float(t)
     except OverflowError:  # a number past float range, so |t| L is beyond the cap at every L
-        raise _out_of_range(f"|t| is past float range, so |t| * L exceeds {MAX_TWIST_LENGTH}",
-                            coords, "t", t) from None
-    s = t * length
+        raise _out_of_range(f"|{name}| is past float range, so |{name}| * L exceeds "
+                            f"{MAX_TWIST_LENGTH}", coords, name, t) from None
+    s = value * length
     if not abs(s) <= MAX_TWIST_LENGTH:  # one test on the hot path; also true for nan
-        if not math.isfinite(t):
-            raise ValueError(f"twist parameter must be finite, got {t!r}")
-        raise _out_of_range(f"|t| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, "t", t)
+        if not math.isfinite(value):
+            raise ValueError(f"twist parameter must be finite, got {value!r}")
+        raise _out_of_range(f"|{name}| * L = {abs(s)} exceeds {MAX_TWIST_LENGTH}", coords, name, t)
     if s <= _SHIFT_THRESHOLD:
-        return t, math.exp(s), 1.0
-    return t, 1.0, math.exp(-s)
+        return value, math.exp(s), 1.0
+    return value, 1.0, math.exp(-s)
 
 
 def _checked(values, coords: AnnulusCoords, name: str, value) -> AnnulusCoords:
@@ -171,10 +172,7 @@ def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
 
 
 def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
-    """m-fold Dehn twist: the Fenchel-Nielsen translation tau -> tau + m L, O(1) in m.
-
-    A count with |m| L above MAX_TWIST_LENGTH fails before m becomes a float.
-    """
+    """m-fold Dehn twist: the Fenchel-Nielsen translation tau -> tau + m L, O(1) in m."""
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
     return _fenchel_nielsen(coords, m, "m")
@@ -201,21 +199,20 @@ def _translation_core(x1: float, x2: float):
 
 
 def _fenchel_nielsen(coords: AnnulusCoords, t, name: str) -> AnnulusCoords:
-    """The twist by t (name "t", any number) or by the int count m (name "m"), in O(1).
+    """The twist by t (name "t") or by the int count m (name "m"), in O(1).
 
     Shares with the p-form only _growth and the result check.  With _translation_core's
-    invariants, sinh(tau/2) = (1 - X1 X2 - X1)/(2 sqrt(X1)), and X3 r and X4 r are invariant.
+    invariants, sinh(tau/2) = (1 - X1 (X2 + 1))/(2 sqrt(X1)), and X3 r and X4 r are invariant.
     With h = (tau + t L)/2 the result has X2' = (cosh h / sinh(L/2))^2 and
     sqrt(X1') = 1/(sinh h + R), R = hypot(sinh h, sqrt(X2' + 1)).
     """
     x1, x2, x3, x4 = coords
     length, _, sigma, q1, r, pm1 = _translation_core(x1, x2)
-    if name == "t":
-        t = _growth(coords, t, length)[0]
-    elif abs(t) > MAX_TWIST_LENGTH / length:  # int-float comparison is exact: no overflow
-        raise _out_of_range(f"|m| * L exceeds {MAX_TWIST_LENGTH} (L = {length!r})",
-                            coords, name, t)
-    h = math.asinh((-pm1 - x1) / (2.0 * q1)) + t * (length / 2.0)  # an int m rounds as float(m)
+    shift = _growth(coords, t, length, name)[0] * (length / 2.0)  # t L/2; messages name t as given
+    h = math.asinh((-pm1 - x1) / (2.0 * q1)) + shift
+    if not h > -_INF:  # the numerator is below 1, so h is -inf only where it overflowed
+        raise TwistRangeError(f"twist coordinate tau is out of range: X1 * (X2 + 1) passes "
+                              f"the double range for X1 = {x1!r}, X2 = {x2!r}")
     try:
         sh, up = math.sinh(h), math.cosh(h) / sigma
         y2 = up * up

@@ -19,8 +19,9 @@ from fntwist import cli
 from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
                          sample_flow)
 from fntwist import AnnulusCoords, TwistRangeError, core_geodesic, twist_p_form
-from util import (first_difference, format_csv_reference, format_flow_json_reference,
-                  load_benchmark_module, max_rel, rel_err, svg_points_reference)
+from util import (TAU_OUT_OF_RANGE, first_difference, format_csv_reference,
+                  format_flow_json_reference, load_benchmark_module, max_rel, rel_err,
+                  svg_points_reference)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,38 +82,45 @@ class TestTwistCommand:
         assert "X2" in err and "positive" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["twist", "--coords", "1e200,1e200,1,1", "--t", "0"],
-         "holonomy trace is out of range: |trace| = nan is not finite "
-         "for X1 = 1e+200, X2 = 1e+200"),
-        (["twist", "--coords", "1e300,1e10,1,1", "--t", "0"],
-         "holonomy trace is out of range: |trace| = nan is not finite "
-         "for X1 = 1e+300, X2 = 10000000000.0"),
-        (["twist", "--coords", "1.5e308,0.5,1,1", "--t", "0"],
-         "holonomy trace is out of range: |trace| = inf is not finite "
-         "for X1 = 1.5e+308, X2 = 0.5"),
-        (["twist", "--coords", "1e-200,1e-200,1,1", "--t", "0.1"],
+        (["twist", "--coords", "1e200,1e200,1,1", "--t", "0"], TAU_OUT_OF_RANGE.format(
+            "1e+200", "1e+200")),
+        (["twist", "--coords", "1e300,1e10,1,1", "--t", "0"], TAU_OUT_OF_RANGE.format(
+            "1e+300", "10000000000.0")),
+        (["twist", "--coords", "1.5e308,0.5,1,1", "--t", "0"], TAU_OUT_OF_RANGE.format(
+            "1.5e+308", "0.5")),
+        # twist serves the next three (test_p_form_refusals_are_served); flow keeps p-form's refusal
+        (["flow", "--coords", "1e-200,1e-200,1,1", "--t", "0.1", "--steps", "1"],
          "holonomy trace is out of range: X1 * X2 = 0.0 is below the smallest normal double "
          "for X1 = 1e-200, X2 = 1e-200"),
-        (["twist", "--coords", "3e-162,1e-162,1,1", "--t", "0.1"],
+        (["flow", "--coords", "3e-162,1e-162,1,1", "--t", "0.1", "--steps", "1"],
          "holonomy trace is out of range: X1 * X2 = 5e-324 is below the smallest normal double "
          "for X1 = 3e-162, X2 = 1e-162"),
-        (["twist", "--coords", "1e200,1,1,1", "--t", "0.1"],
+        (["flow", "--coords", "1e200,1,1,1", "--t", "0.1", "--steps", "1"],
          "core geodesic discriminant overflows for X1 = 1e+200, X2 = 1.0"),
         # X1' = 5.6e-316 is subnormal: it kept too few bits to be returned
         (["twist", "--coords", "1e-300,1e-5,1,1", "--t", "0.05"],
-         "twisted coordinates (5.62341323e-316, 17782794100.38929, 1.0, 1.0) left the normal "
-         "positive finite range for coords (1e-300, 1e-05, 1.0, 1.0), t = 0.05; "
-         "result not representable"),
+         "twisted coordinates (5.62341323e-316, 17782794100.38975, 1.0000000000000002, "
+         "1.0000000000000002) left the normal positive finite range for coords "
+         "(1e-300, 1e-05, 1.0, 1.0), t = 0.05; result not representable"),
         (["flow", "--coords", "1e160,1,1,1", "--t", "0.1", "--steps", "2"],
          "core geodesic discriminant overflows for X1 = 1e+160, X2 = 1.0"),
+        (["dehn", "--coords", "1e200,1e200,1,1", "--m", "0"], TAU_OUT_OF_RANGE.format(
+            "1e+200", "1e+200")),
+        (["dehn", "--coords", "1e300,1e10,1,1", "--m", "0"], TAU_OUT_OF_RANGE.format(
+            "1e+300", "10000000000.0")),
+        (["dehn", "--coords", "1.5e308,0.5,1,1", "--m", "0"], TAU_OUT_OF_RANGE.format(
+            "1.5e+308", "0.5")),
     ], ids=["nan-trace", "nan-trace-overflowed-product", "inf-trace", "underflowed-denominator",
-            "subnormal-product", "twist-discriminant", "subnormal-result", "flow-discriminant"])
+            "subnormal-product", "twist-discriminant", "subnormal-result", "flow-discriminant",
+            "dehn-nan-trace", "dehn-nan-trace-overflowed-product", "dehn-inf-trace"])
     def test_out_of_range_quadruple_names_x1_x2(self, capsys, argv, message):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # p-form refuses the inputs of the next three tests, and test_twist.py pins its errors on
+    # the library; flow runs p-form and keeps the refusals, while twist runs the translation
     def test_not_hyperbolic_names_x1_x2(self, capsys):
-        assert run(["twist", "--coords", "1e-12,1e12,1,1"]) == 1
+        assert run(["flow", "--coords", "1e-12,1e12,1,1", "--steps", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: holonomy is not hyperbolic") and err.count("\n") == 1
         assert "X1 = 1e-12, X2 = 1000000000000.0" in err
@@ -120,7 +128,7 @@ class TestTwistCommand:
     def test_vanishing_axis_gap_exit_one(self, capsys):
         coords = ("6.927466975807279e-260,1.6092792496758436e+53,"
                   "1.6095569403158126e-128,1.3035491324448617e+186")
-        assert run(["twist", "--coords", coords, "--t", "-1.246898869987229"]) == 1
+        assert run(["flow", "--coords", coords, "--t", "-1.246898869987229", "--steps", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the axis gap vanished") and err.count("\n") == 1
         assert f"({coords.replace(',', ', ')}), t = -1.246898869987229" in err
@@ -129,10 +137,48 @@ class TestTwistCommand:
         # x1 * axis_sq * moved * fixed is 4.9e-324; divided, it gave X1' = 1.27e-185, not 6.78e-186
         coords = ("6.240413128754087e-70,5.465619396542107e+78,"
                   "5.74639131112284e+180,4.1834211876723263e+157")
-        assert run(["twist", "--coords", coords, "--t", "28.68385713350821"]) == 1
+        assert run(["flow", "--coords", coords, "--t", "28.68385713350821", "--steps", "1"]) == 1
         assert capsys.readouterr() == (
             "", f"error: an intermediate product underflowed for coords "
                 f"({coords.replace(',', ', ')}), t = 28.68385713350821; result not representable\n")
+
+    @pytest.mark.parametrize("coords, t", [
+        ((1e-12, 1e12, 1.0, 1.0), 1.0),
+        ((6.927466975807279e-260, 1.6092792496758436e+53, 1.6095569403158126e-128,
+          1.3035491324448617e+186), -1.246898869987229),
+        ((6.240413128754087e-70, 5.465619396542107e+78, 5.74639131112284e+180,
+          4.1834211876723263e+157), 28.68385713350821),
+        ((1e-200, 1e-200, 1.0, 1.0), 0.1),
+        ((3e-162, 1e-162, 1.0, 1.0), 0.1),
+        ((1e200, 1.0, 1.0, 1.0), 0.1),
+    ], ids=["not-hyperbolic", "vanishing-axis-gap", "subnormal-intermediate",
+            "underflowed-denominator", "subnormal-product", "twist-discriminant"])
+    def test_p_form_refusals_are_served(self, monkeypatch, capsys, coords, t):
+        reference = load_benchmark_module("reference")
+        # at its default 60 digits the reference divides by zero at (1e-200, 1e-200) and
+        # (3e-162, 1e-162); the translation is 2.4e-14 and 3.4e-14 off 400-digit mpmath there
+        monkeypatch.setattr(reference, "DIGITS", 400)
+        assert run(["twist", "--coords", ",".join(map(repr, coords)), "--t", repr(t)]) == 0
+        output = json.loads(capsys.readouterr().out)["output"]
+        assert max_rel(output, [float(v) for v in reference.twist_reference(coords, t)]) < 1e-12
+
+    def test_band_input_matches_mpmath_reference(self, capsys):
+        # p-form returns this input at t L = -400 4.0e-2 off, with no error; the translation 3.0e-14
+        reference = load_benchmark_module("reference")
+        coords = (2.4655406018552728e-12, 405590562818.1852, 1.0, 1.0)
+        t = -400.0 / reference.core_length(coords)
+        assert run(["twist", "--coords", ",".join(map(repr, coords)), "--t", repr(t)]) == 0
+        output = json.loads(capsys.readouterr().out)["output"]
+        assert max_rel(output, [float(v) for v in reference.twist_reference(coords, t)]) < 1e-12
+
+    @pytest.mark.parametrize("k", [-3, 0, 1, 7])
+    @pytest.mark.parametrize("coords", ["1,1,1,1", "0.3,7,2,0.5", "1e-12,1e12,1,1"])
+    def test_csv_equals_dehn_bytes(self, coords, k, capsys):
+        # both commands run the translation and report its L and trace, so t = k is m = k
+        assert run(["twist", "--coords", coords, "--t", str(k), "--format", "csv"]) == 0
+        twisted = capsys.readouterr().out
+        assert run(["dehn", "--coords", coords, "--m", str(k), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == twisted
 
     def test_cancelling_axis_gap_exit_zero(self, capsys):
         # p1 rounds to 1 and x1 + p2 to 0; the guarded identity gives the axis gap
@@ -146,7 +192,8 @@ class TestTwistCommand:
         assert "four" in capsys.readouterr().err
 
     def test_unknown_method_exit_one(self, capsys):
-        # p-form is the only production route; --method and the ignored --seed are gone
+        # each command has one route (twist the translation, flow p-form); --method and the
+        # ignored --seed are gone
         assert run(["twist", "--coords", "1,1,1,1", "--method", "closed"]) == 1
         assert run(["flow", "--coords", "1,1,1,1", "--t", "1", "--steps", "10",
                     "--seed", "0"]) == 1
@@ -192,12 +239,14 @@ class TestDehnCommand:
         assert rel_err(payload["L"], reference.core_length((1e-12, 1e12))) < 1e-10
         assert rel_err(payload["trace"], 2.000000000001) < 1e-15
 
-    @pytest.mark.parametrize("m", [10**8, 10**400], ids=["1e8", "1e400"])
-    def test_count_beyond_cap_exit_one(self, m, capsys):
+    @pytest.mark.parametrize("m, why", [
+        (10**8, "|m| * L = 1999.9999999916668 exceeds 650.0"),
+        (10**400, "|m| is past float range, so |m| * L exceeds 650.0"),
+    ], ids=["1e8", "1e400"])
+    def test_count_beyond_cap_exit_one(self, m, why, capsys):
         assert run(["dehn", "--coords", "1e-10,1e10,1,1", "--m", str(m)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: |m| * L exceeds 650.0 ") and err.count("\n") == 1
-        assert f"(1e-10, 10000000000.0, 1.0, 1.0), m = {m};" in err
+        assert capsys.readouterr().err == (f"error: {why} for coords (1e-10, 10000000000.0, 1.0, "
+                                           f"1.0), m = {m}; result not representable\n")
 
 
 class TestFlowCommand:

@@ -29,7 +29,8 @@ from fntwist.cli import sample_flow
 from fntwist.mobius import MobiusMap
 from fntwist.sampling import Lcg, random_coords
 from fntwist.twist import stratum_map, twist_from_core
-from util import FloatSubclass, holonomy_f2, load_benchmark_module, max_rel, rel_err
+from util import (TAU_OUT_OF_RANGE, FloatSubclass, holonomy_f2, load_benchmark_module, max_rel,
+                  rel_err)
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
 DEHN_OF_UNIT = (0.25, 1.0, 2.0, 2.0)
@@ -344,6 +345,25 @@ class TestLargeParameters:
             twist_p_form(AnnulusCoords(*coords), t)
         assert str(info.value) == f"{why} for coords {coords}, t = {t!r}; result not representable"
 
+    @pytest.mark.parametrize("coords, t, error, message", [
+        ((1e-12, 1e12, 1.0, 1.0), 1.0, ValueError,
+         "holonomy is not hyperbolic: |trace| = 2.000000000001 is too close to 2 "
+         "for X1 = 1e-12, X2 = 1000000000000.0"),
+        ((1e-200, 1e-200, 1.0, 1.0), 0.1, ValueError,
+         "holonomy trace is out of range: X1 * X2 = 0.0 is below the smallest normal double "
+         "for X1 = 1e-200, X2 = 1e-200"),
+        ((3e-162, 1e-162, 1.0, 1.0), 0.1, ValueError,
+         "holonomy trace is out of range: X1 * X2 = 5e-324 is below the smallest normal double "
+         "for X1 = 3e-162, X2 = 1e-162"),
+        ((1e200, 1.0, 1.0, 1.0), 0.1, OverflowError,
+         "core geodesic discriminant overflows for X1 = 1e+200, X2 = 1.0"),
+    ], ids=["not-hyperbolic", "underflowed-denominator", "subnormal-product", "discriminant"])
+    def test_core_refusal_names_x1_x2(self, coords, t, error, message):
+        # fntwist twist runs the translation, which serves these inputs; p-form refuses them
+        with pytest.raises(error) as info:
+            twist_p_form(AnnulusCoords(*coords), t)
+        assert type(info.value) is error and str(info.value) == message
+
     @pytest.mark.parametrize("coords, t", [
         # p1 rounds to 1, so x1 + p2 evaluates to 0
         ((2.3647617156901504e-12, 2.78013075470335e-12, 3.2912851745561317e-10,
@@ -600,12 +620,13 @@ class TestOracle:
         assert max_rel(twist_oracle(AnnulusCoords(*coords), 0.1), [float(v) for v in exact]) < 1e-12
 
     def test_product_past_float_range_is_a_range_error(self):
-        # X1 X2 = 1e600 overflows, so tau and the result are not finite; d stays finite
-        with pytest.raises(TwistRangeError) as info:
-            twist_oracle(AnnulusCoords(1e300, 1e300, 1, 1), 0.0)
-        assert str(info.value) == ("twisted coordinates (nan, inf, nan, nan) left the normal "
-                                   "positive finite range for coords (1e+300, 1e+300, 1.0, 1.0), "
-                                   "t = 0.0; result not representable")
+        # X1 (X2 + 1) overflows, so tau is not finite while d stays finite; at
+        # (1.5e308, 0.5) X1 X2 itself is finite
+        for x1, x2 in [(1e300, 1e300), (1e200, 1e200), (1e300, 1e10), (1.5e308, 0.5)]:
+            for twist in (twist_oracle, dehn_twist):
+                with pytest.raises(TwistRangeError) as info:
+                    twist(AnnulusCoords(x1, x2, 1, 1), 0)
+                assert str(info.value) == TAU_OUT_OF_RANGE.format(repr(x1), repr(x2))
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):
@@ -670,23 +691,26 @@ class TestDehnTwist:
             assert max(reference.rel_error(v, e) for v, e in zip(result, exact)) < 1e-12
             checked += 1
 
-    @pytest.mark.parametrize("coords, m", [
-        ((1e-10, 1e10, 1.0, 1.0), 10**8),  # |m| L = 2000
-        ((1e-10, 1e10, 1.0, 1.0), -10**8),
-        ((1e-11, 1e11, 1.0, 1.0), 10**400),  # beyond float range: no conversion
-        ((1e-11, 1e11, 1.0, 1.0), -10**400),
-        ((1.0, 1.0, 1.0, 1.0), 338),  # |m| L = 650.6
-        ((1.0, 1.0, 1.0, 1.0), -338),
+    @pytest.mark.parametrize("coords, m, why", [
+        ((1e-10, 1e10, 1.0, 1.0), 10**8, "|m| * L = 1999.9999999916668 exceeds"),
+        ((1e-10, 1e10, 1.0, 1.0), -10**8, "|m| * L = 1999.9999999916668 exceeds"),
+        ((1e-11, 1e11, 1.0, 1.0), 10**400, "|m| is past float range, so |m| * L exceeds"),
+        ((1e-11, 1e11, 1.0, 1.0), -10**400, "|m| is past float range, so |m| * L exceeds"),
+        ((1.0, 1.0, 1.0, 1.0), 338, "|m| * L = 650.5983874805839 exceeds"),
+        ((1.0, 1.0, 1.0, 1.0), -338, "|m| * L = 650.5983874805839 exceeds"),
     ], ids=["1e8", "-1e8", "1e400", "-1e400", "338", "-338"])
-    def test_count_beyond_cap_fails_before_iterating(self, coords, m):
-        with pytest.raises(TwistRangeError, match=r"^\|m\| \* L exceeds 650\.0 ") as info:
+    def test_count_beyond_cap_fails_before_iterating(self, coords, m, why):
+        # _growth checks m as it checks t, and names the count as given
+        with pytest.raises(TwistRangeError) as info:
             dehn_twist(AnnulusCoords(*coords), m)
-        assert f"for coords {coords}, m = {m};" in str(info.value)
+        assert str(info.value) == (f"{why} 650.0 for coords {coords}, m = {m}; "
+                                   "result not representable")
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_count_past_digit_limit_gives_its_size(self, sign):
         # repr of 10**5000 exceeds the int-to-str digit limit, so the message gives its bits
-        with pytest.raises(TwistRangeError, match=r"^\|m\| \* L exceeds 650\.0 ") as info:
+        with pytest.raises(TwistRangeError, match=r"^\|m\| is past float range, so \|m\| \* L "
+                                                  r"exceeds 650\.0 ") as info:
             dehn_twist(UNIT, sign * 10**5000)
         size = "<16610-bit int>" if sign > 0 else "-<16610-bit int>"
         assert f"for coords (1.0, 1.0, 1.0, 1.0), m = {size};" in str(info.value)
@@ -749,7 +773,7 @@ class TestTraceCheck:
         assert fntwist.cli.main(["twist", "--coords", "1.0001e-12,999900000000,1,1",
                                  "--t", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["output"] == list(twist_p_form(AnnulusCoords(*NEAR_MARGIN), 1.0))
+        assert payload["output"] == list(twist_oracle(AnnulusCoords(*NEAR_MARGIN), 1.0))
 
     @given(near_margin_pairs, st.floats(-5.0, 5.0))
     @example(NEAR_MARGIN[:2], 1.0)
@@ -773,9 +797,8 @@ class TestTraceCheck:
         # entries 2, 5, 1, 3 are COUNTED
         (lambda: apply_local_twist(SurfaceCoords((3.0, 2.0, 0.25, 7.0, 0.5)),
                                    AnnulusEmbedding(2, 5, 1, 3), 0.7), 1),
-        # the kernel's check, then the report's L and trace columns
-        (lambda: fntwist.cli.main(["twist", "--coords", "2,0.5,3,0.25", "--t", "0.7"]) == 0, 2),
-        # L and trace come from the translation's own invariants, as in dehn_twist
+        # both commands run the translation and report its own L and trace
+        (lambda: fntwist.cli.main(["twist", "--coords", "2,0.5,3,0.25", "--t", "0.7"]) == 0, 0),
         (lambda: fntwist.cli.main(["dehn", "--coords", "2,0.5,3,0.25", "--m", "2"]) == 0, 0),
     ], ids=["p-form", "closed-form", "oracle", "dehn", "local-twist", "cli-twist", "cli-dehn"])
     def test_trace_is_checked_once_per_call(self, monkeypatch, capsys, call, checks):

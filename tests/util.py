@@ -10,6 +10,10 @@ from fntwist.mobius import MobiusMap, cross_ratio
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
+# the translation's error where sinh(tau/2)'s numerator 1 - X1 (X2 + 1) overflows
+TAU_OUT_OF_RANGE = ("twist coordinate tau is out of range: X1 * (X2 + 1) passes the double range "
+                    "for X1 = {}, X2 = {}")
+
 # Vertex quadruple, in cross-ratio argument order [x:y:z:w], whose cross
 # ratio recovers each coordinate.  Vertices are labelled points of the
 # fundamental domain: the four arc endpoints x1..x4 plus the pinned points
