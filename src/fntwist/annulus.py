@@ -48,7 +48,7 @@ def _coordinate(field, v) -> float:
 
 
 def length_trace(x1: float, x2: float):
-    """(L, |trace|) of the core curve from X1, X2: the one place the trace is checked.
+    """(L, |trace|) of the core curve from X1, X2: the owner of the trace check and its messages.
 
     ValueError naming X1, X2 if X1 * X2 is below _MIN_NORMAL (the trace would lose digits),
     or if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite.

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 
-from .annulus import AnnulusCoords, core_geodesic, coords_from_endpoints, endpoints, length_trace
+from .annulus import (_MIN_NORMAL, HYPERBOLICITY_MARGIN, AnnulusCoords, core_geodesic,
+                      coords_from_endpoints, endpoints, length_trace)
 from .sampling import Lcg, random_coords
-from .twist import (_growth, _translation_core, dehn_twist, twist_closed_form, twist_from_core,
-                    twist_oracle, twist_p_form)
+from .twist import (_SHIFT_THRESHOLD, MAX_TWIST_LENGTH, _growth, _translation_core, dehn_twist,
+                    twist_closed_form, twist_from_core, twist_oracle, twist_p_form)
 
 # a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
@@ -35,10 +35,11 @@ CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
 # the text json writes for a finite float; every sample value is finite.  The
 # flow preserves L and trace, so a trajectory repeats a few (L, trace) pairs
 # while t and X1..X4 change on every row: _write_rows formats each pair once.
+# The names are ASCII, so json.dumps(k) is '"k"', and only writing JSON loads json.
 _NAMES = CSV_HEADER.split(",")
 _CSV_HEAD, _CSV_TAIL = "%.17g," * 5, "%.17g,%.17g\n"
-_JSON_HEAD = "    {\n" + "".join(f"      {json.dumps(k)}: %r,\n" for k in _NAMES[:5])
-_JSON_TAIL = ",\n".join(f"      {json.dumps(k)}: %r" for k in _NAMES[5:]) + "\n    }"
+_JSON_HEAD = "    {\n" + "".join(f'      "{k}": %r,\n' for k in _NAMES[:5])
+_JSON_TAIL = ",\n".join(f'      "{k}": %r' for k in _NAMES[5:]) + "\n    }"
 # flow rows per write: about 240 KB of JSON, and few system calls on an unbuffered stdout
 _BLOCK = 1024
 
@@ -101,6 +102,7 @@ def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
 
 def _quadruple_report(args, kernel, name, value):
     """Write kernel(coords, value) for the parsed --coords, with the translation's L and trace."""
+    import json  # here, not at the top: a process that writes no JSON does not load it
     coords = parse_coords(args.coords)
     result = kernel(coords, value)
     # not length_trace's: its margin refuses inputs that both kernels serve
@@ -133,23 +135,59 @@ def cmd_dehn(args) -> int:
 def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t from 0.0 to t_max.
 
-    The start's invariants (L and the axis endpoints p1, p2) are computed
-    once and every sample is twisted from them.  Length and trace are still
-    recomputed from each sample's own X1, X2, so the emitted rows exhibit,
-    rather than assume, their invariance.  A span whose end is past the
-    |t| L cap or not finite, or steps < 1, raises before any sample.  A
+    Each row equals (t, *twist_p_form(coords, t), *length_trace(X1', X2')) bit for bit, but
+    p-form's t-independent terms are computed once: a row costs one exp, a dozen products
+    and its own L and trace, so the rows exhibit, rather than assume, their invariance.  A
+    failing row hands off to twist_from_core or length_trace for their errors.  A span whose
+    end is past the |t| L cap or not finite, or steps < 1, raises before any sample.  A
     sample's ValueError gets its t and the input coords appended.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
     core = core_geodesic(coords)
-    t_max = _growth(coords, t_max, core[0])[0]
+    length, _, p1, p2 = core
+    t_max = _growth(coords, t_max, length)[0]
+    # twist_from_core's terms that do not depend on t, in its order of operations
+    x1, x2, x3, x4 = coords
+    axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1
+    near, neg = x1 + p1, x1 + p2
+    if not -neg >= -1e-3 * p2:
+        neg = -(x1 * x1 * x2 / near)
+    x1_axis_sq = x1 * axis_sq
+    exp, sqrt, acosh, inf = math.exp, math.sqrt, math.acosh, math.inf
+    cap, shift, tiny = MAX_TWIST_LENGTH, _SHIFT_THRESHOLD, _MIN_NORMAL
+    lowest = 2.0 + HYPERBOLICITY_MARGIN
     samples = []
+    append = samples.append
     try:
         for i in range(steps + 1):
             t = i * t_max / steps or 0.0  # 0.0, not -0.0, at a negative span's start
-            point = twist_from_core(coords, core, t)
-            samples.append((t, *point, *length_trace(point[0], point[1])))
+            s = t * length
+            # one of _growth's scale pair is 1.0, e the other: a product by 1.0 drops out exactly
+            if s <= shift:
+                e = exp(s)
+                axis_gap, edge2_gap = near * e - neg, p1 * e - p2
+            else:
+                e = exp(-s)
+                axis_gap, edge2_gap = near - neg * e, p1 - p2 * e
+            top1, bottom1 = x1_axis_sq * e, axis_gap * axis_gap
+            top2, bottom2 = x2 * edge2_gap * edge2_gap, axis_sq * e
+            if (-cap <= s <= cap and bottom1 >= tiny and top1 >= tiny and top2 >= tiny
+                    and bottom2 >= tiny):
+                y1, y2 = top1 / bottom1, top2 / bottom2
+                ratio = axis_gap / edge2_gap
+                y3, y4 = x3 * ratio, x4 * ratio
+                if not (tiny <= y1 < inf and tiny <= y2 < inf and tiny <= y3 < inf
+                        and tiny <= y4 < inf):
+                    y1, y2, y3, y4 = twist_from_core(coords, core, t)  # raises the range error
+            else:
+                y1, y2, y3, y4 = twist_from_core(coords, core, t)  # raises the guard's error
+            # length_trace's arithmetic and tests
+            product = y1 * y2
+            if product >= tiny and lowest < (tr := (y1 * (y2 + 1.0) + 1.0) / sqrt(product)) < inf:
+                append((t, y1, y2, y3, y4, 2.0 * acosh(tr / 2.0), tr))
+            else:
+                append((t, y1, y2, y3, y4, *length_trace(y1, y2)))  # raises its ValueError
     except ValueError as exc:  # a sample's own X1, X2 failed the trace check
         raise type(exc)(f"{exc}; flow sample at t = {t!r} from coords {tuple(coords)}") from None
     return samples
@@ -177,6 +215,7 @@ def format_csv(samples, out) -> None:
 
 def format_flow_json(coords, t_max, steps, samples, out) -> None:
     """Write the flow JSON, as json.dumps(indent=2) lays it out, to the text stream out."""
+    import json
     length, trace = length_trace(coords[0], coords[1])
     head = json.dumps({
         "input": {"coords": list(coords), "t_max": t_max, "steps": steps},

@@ -3,9 +3,10 @@
 Three independent routes compute the twisted quadruple:
 
 * twist_p_form, the flow's route, a rational function of e^(t L) and the
-  axis endpoints p1, p2 taken from the quadratic route; callers that need
-  no AnnulusCoords (a flow, a local twist) call its two halves,
-  core_geodesic and twist_from_core, and a trajectory reuses one core;
+  axis endpoints p1, p2 taken from the quadratic route; a local twist calls
+  its two halves, core_geodesic and twist_from_core, and fntwist flow
+  computes its t-independent terms once per trajectory, so a row costs one
+  exp and a dozen products and equals twist_p_form bit for bit;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
 * twist_oracle, the Fenchel-Nielsen translation tau -> tau + t L of the
@@ -208,6 +209,9 @@ def _fenchel_nielsen(coords: AnnulusCoords, t, name: str) -> AnnulusCoords:
     """
     x1, x2, x3, x4 = coords
     length, _, sigma, q1, r, pm1 = _translation_core(x1, x2)
+    if not length < _INF:  # rm1 / r overflows once r is below about 5.6e-309
+        raise TwistRangeError(f"core length is out of range: L passes the double range "
+                              f"for X1 = {x1!r}, X2 = {x2!r}")
     shift = _growth(coords, t, length, name)[0] * (length / 2.0)  # t L/2; messages name t as given
     h = math.asinh((-pm1 - x1) / (2.0 * q1)) + shift
     if not h > -_INF:  # the numerator is below 1, so h is -inf only where it overflowed

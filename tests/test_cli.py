@@ -19,7 +19,8 @@ from fntwist import cli
 from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
                          sample_flow)
 from fntwist import AnnulusCoords, TwistRangeError, core_geodesic, twist_p_form
-from util import (TAU_OUT_OF_RANGE, first_difference, format_csv_reference,
+from fntwist.annulus import length_trace
+from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, first_difference, format_csv_reference,
                   format_flow_json_reference, load_benchmark_module, max_rel, rel_err,
                   svg_points_reference)
 
@@ -40,6 +41,42 @@ def json_text(coords, t_max, steps, samples) -> str:
     out = io.StringIO()
     format_flow_json(coords, t_max, steps, samples, out)
     return out.getvalue()
+
+
+def p_form_flow(coords, t_max, steps):
+    """sample_flow's rows, or the (type, message) it raises, one twist_p_form call per row.
+
+    Each row's L and trace are length_trace's, which is core_geodesic(point)[:2] without
+    the discriminant, so the reference refuses nothing that sample_flow serves.
+    """
+    rows = []
+    for i in range(steps + 1):
+        t = i * t_max / steps or 0.0
+        try:
+            point = twist_p_form(coords, t)
+            rows.append((t, *point, *length_trace(point[0], point[1])))
+        except ValueError as exc:
+            return type(exc), f"{exc}; flow sample at t = {t!r} from coords {tuple(coords)}"
+        except TwistRangeError as exc:
+            return type(exc), str(exc)
+    return rows
+
+
+def flow_outcome(coords, t_max, steps):
+    """sample_flow's rows, or the (type, message) it raises."""
+    try:
+        return sample_flow(coords, t_max, steps)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def exp_tripwire(monkeypatch):
+    """math.exp raises: every flow row takes its scale factor from it, so any sampled row trips it."""
+    def unexpected(*_args):
+        raise AssertionError("the flow sampled a span it should have rejected")
+
+    monkeypatch.setattr(math, "exp", unexpected)
 
 
 class CountingSink:
@@ -110,9 +147,17 @@ class TestTwistCommand:
             "1e+300", "10000000000.0")),
         (["dehn", "--coords", "1.5e308,0.5,1,1", "--m", "0"], TAU_OUT_OF_RANGE.format(
             "1.5e+308", "0.5")),
+        # sqrt(X1 X2) is below about 5.6e-309, so L is not finite: named, never "|t| * L = nan"
+        (["twist", "--coords", "5e-324,5e-324,1,1", "--t", "0"], L_OUT_OF_RANGE.format(
+            "5e-324", "5e-324")),
+        (["dehn", "--coords", "5e-324,5e-324,1,1", "--m", "0"], L_OUT_OF_RANGE.format(
+            "5e-324", "5e-324")),
+        (["twist", "--coords", "1e-320,1e-300,1,1", "--t", "0", "--format", "csv"],
+         L_OUT_OF_RANGE.format("1e-320", "1e-300")),
     ], ids=["nan-trace", "nan-trace-overflowed-product", "inf-trace", "underflowed-denominator",
             "subnormal-product", "twist-discriminant", "subnormal-result", "flow-discriminant",
-            "dehn-nan-trace", "dehn-nan-trace-overflowed-product", "dehn-inf-trace"])
+            "dehn-nan-trace", "dehn-nan-trace-overflowed-product", "dehn-inf-trace",
+            "inf-length", "dehn-inf-length", "inf-length-csv"])
     def test_out_of_range_quadruple_names_x1_x2(self, capsys, argv, message):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -285,11 +330,7 @@ class TestFlowCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_span_beyond_cap_fails_before_sampling(self, monkeypatch, capsys):
-        def unexpected(*_args):
-            raise AssertionError("flow sampled a span whose end is out of range")
-
-        monkeypatch.setattr(cli, "twist_from_core", unexpected)
+    def test_span_beyond_cap_fails_before_sampling(self, exp_tripwire, capsys):
         # L = 1.92..., so t L = 770 at the end of the span, above the cap 650
         assert run(["flow", "--coords", "1,1,1,1", "--t", "400"]) == 1
         err = capsys.readouterr().err
@@ -421,24 +462,58 @@ class TestSampleFlow:
         t = sample_flow(AnnulusCoords(1, 1, 1, 1), t_max, 4)[0][0]
         assert t == 0.0 and math.copysign(1.0, t) == 1.0
 
-    def test_span_beyond_cap_raises_before_sampling(self, monkeypatch):
-        def unexpected(*_args):
-            raise AssertionError("sample_flow twisted a span whose end is out of range")
-
-        monkeypatch.setattr(cli, "twist_from_core", unexpected)
+    def test_span_beyond_cap_raises_before_sampling(self, exp_tripwire):
         with pytest.raises(TwistRangeError,
                            match=r"coords \(1\.0, 1\.0, 1\.0, 1\.0\), t = 400\.0;"):
             sample_flow(AnnulusCoords(1, 1, 1, 1), 400.0, 10)
+        # the tripwire is live: a span within the cap samples, and its first row trips it
+        with pytest.raises(AssertionError, match="sampled a span"):
+            sample_flow(AnnulusCoords(1, 1, 1, 1), 300.0, 10)
 
     @pytest.mark.parametrize("t_max, error", [(math.nan, ValueError), (10**400, TwistRangeError)],
                              ids=["nan", "1e400"])
-    def test_bad_span_raises_before_sampling(self, monkeypatch, t_max, error):
-        def unexpected(*_args):
-            raise AssertionError("sample_flow twisted a span it should have rejected")
-
-        monkeypatch.setattr(cli, "twist_from_core", unexpected)
+    def test_bad_span_raises_before_sampling(self, exp_tripwire, t_max, error):
         with pytest.raises(error):
             sample_flow(AnnulusCoords(1, 1, 1, 1), t_max, 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-6.0, 6.0).map(lambda u: 10.0 ** u)] * 4),
+           st.floats(-649.0, 649.0), st.integers(1, 64))
+    @example((1.0, 1e-3, 1.0, 1.0), 400.0, 64)  # the guarded x1 + p2 identity, shifted exponent
+    def test_rows_are_p_form_bit_for_bit(self, start, s_max, steps):
+        coords = AnnulusCoords(*start)
+        try:
+            length = core_geodesic(coords)[0]
+        except ValueError:
+            assume(False)  # not a flow: the start fails its own trace check
+        t_max = s_max / length
+        assume(abs(t_max * length) <= 649.0)
+        # a plain tuple compare: every value is a positive finite float or t, so == is bit equality
+        assert flow_outcome(coords, t_max, steps) == p_form_flow(coords, t_max, steps)
+
+    # mid-span failures, 40 steps each: the flow raises twist_from_core's error at the failing t
+    @pytest.mark.parametrize("start, t_max, why", [
+        ((1.5472780941062953e-62, 8.374744773094843e+16, 1.5664231862501934e-32,
+          3.0126805990081836e+52), -5.723082583850387, "an intermediate product underflowed"),
+        ((1.4323401954511e-98, 5.146623712107479e-49, 1.3751148170091864e-45,
+          1.4775915457093257e-32), -1.8654895150751973, "the axis gap vanished"),
+        ((1.1334062961196302e+82, 9.941575217941973e-07, 1.1797452430369613e+96,
+          3.0540603580219254e-21), 1.814594757056996, "left the normal positive finite range"),
+    ], ids=["underflowed-product", "vanished-axis-gap", "result-range"])
+    def test_failing_row_raises_twist_from_core_error(self, start, t_max, why):
+        coords = AnnulusCoords(*start)
+        expected = p_form_flow(coords, t_max, 40)
+        assert expected[0] is TwistRangeError and why in expected[1]
+        assert ", t = 0.0;" not in expected[1] and f", t = {t_max!r};" not in expected[1]
+        assert flow_outcome(coords, t_max, 40) == expected
+
+    def test_last_row_rounded_past_the_cap_raises_the_cap_error(self):
+        # t_max L is within the cap, but 55 * t_max / 55 rounds one ulp up, past it
+        coords, t_max = AnnulusCoords(1, 1, 1, 1), 337.68912470069193
+        expected = p_form_flow(coords, t_max, 55)
+        assert expected[0] is TwistRangeError
+        assert expected[1].startswith("|t| * L = 650.0000000000001 exceeds 650.0 for coords")
+        assert flow_outcome(coords, t_max, 55) == expected
 
 
 class TestFlowAcrossShiftedBranch:
@@ -447,20 +522,34 @@ class TestFlowAcrossShiftedBranch:
     START = AnnulusCoords(0.7021313130275187, 1.0442750112350174,
                           1.9802443731858395, 0.5830781685819689)
     T_MAX, STEPS = 250.0, 2000
+    # |1 - p1| = 5.0e-4 here, so p-form takes the guarded x1 + p2 identity; L = 8.29
+    GUARDED = AnnulusCoords(1.0, 1e-3, 1.0, 1.0)
 
     @pytest.fixture(scope="class")
     def samples(self):
         return sample_flow(self.START, self.T_MAX, self.STEPS)
 
-    def test_rows_equal_twist_p_form_exactly(self, samples):
-        assert self.T_MAX * core_geodesic(self.START)[0] > 300.0
-        assert len(samples) == self.STEPS + 1
+    @staticmethod
+    def assert_rows_equal_twist_p_form(start, t_max, steps, samples):
+        assert abs(t_max * core_geodesic(start)[0]) > 300.0
+        assert len(samples) == steps + 1
         for i, row in enumerate(samples):
-            t = i * self.T_MAX / self.STEPS
-            point = twist_p_form(self.START, t)
+            t = i * t_max / steps or 0.0  # as sample_flow writes the first t
+            point = twist_p_form(start, t)
             length, trace, _, _ = core_geodesic(point)
-            # every value is a positive finite float or t = 0.0, so == is bit equality
+            # every value is a positive finite float or t, so == is bit equality
             assert row == (t, *point.as_tuple(), length, trace)
+
+    def test_rows_equal_twist_p_form_exactly(self, samples):
+        self.assert_rows_equal_twist_p_form(self.START, self.T_MAX, self.STEPS, samples)
+
+    # at -50 the flow stays on the plain exponent, and its scale factor falls to about 1e-180
+    @pytest.mark.parametrize("t_max", [50.0, -50.0])
+    def test_guarded_identity_rows_equal_twist_p_form_exactly(self, t_max):
+        assert abs(1.0 - core_geodesic(self.GUARDED)[2]) < 1e-3
+        samples = sample_flow(self.GUARDED, t_max, self.STEPS)
+        self.assert_rows_equal_twist_p_form(self.GUARDED, t_max, self.STEPS, samples)
+        assert csv_text(samples) == format_csv_reference(samples)
 
     def test_formatters_equal_reference_bytes(self, samples):
         assert csv_text(samples) == format_csv_reference(samples)

@@ -50,6 +50,16 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_leaves_json_out():
+    # only writing JSON loads json: CSV flows, verify and benchmark set-up probes skip it;
+    # -S keeps site's own imports out of the count
+    code = "import sys, fntwist.cli; print('json' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "False\n"
+
+
 def test_console_script_resolves():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; requires-python allows 3.10
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -29,8 +29,8 @@ from fntwist.cli import sample_flow
 from fntwist.mobius import MobiusMap
 from fntwist.sampling import Lcg, random_coords
 from fntwist.twist import stratum_map, twist_from_core
-from util import (TAU_OUT_OF_RANGE, FloatSubclass, holonomy_f2, load_benchmark_module, max_rel,
-                  rel_err)
+from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, FloatSubclass, holonomy_f2,
+                  load_benchmark_module, max_rel, rel_err)
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
 DEHN_OF_UNIT = (0.25, 1.0, 2.0, 2.0)
@@ -627,6 +627,17 @@ class TestOracle:
                 with pytest.raises(TwistRangeError) as info:
                     twist(AnnulusCoords(x1, x2, 1, 1), 0)
                 assert str(info.value) == TAU_OUT_OF_RANGE.format(repr(x1), repr(x2))
+
+    @pytest.mark.parametrize("x1, x2", [(5e-324, 5e-324), (1e-320, 1e-300), (1e-310, 1e-308)])
+    def test_core_length_past_float_range_is_a_range_error(self, x1, x2):
+        # sqrt(X1 X2) is below about 5.6e-309, so (r - 1)/r and L overflow; at any t or m
+        # the error names X1 and X2, not |t| * L = nan
+        coords = AnnulusCoords(x1, x2, 1, 1)
+        for twist, value in ((twist_oracle, 0.0), (twist_oracle, 1e-3), (dehn_twist, 0),
+                             (dehn_twist, -2)):
+            with pytest.raises(TwistRangeError) as info:
+                twist(coords, value)
+            assert str(info.value) == L_OUT_OF_RANGE.format(repr(x1), repr(x2))
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):

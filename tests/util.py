@@ -13,6 +13,8 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 # the translation's error where sinh(tau/2)'s numerator 1 - X1 (X2 + 1) overflows
 TAU_OUT_OF_RANGE = ("twist coordinate tau is out of range: X1 * (X2 + 1) passes the double range "
                     "for X1 = {}, X2 = {}")
+# the translation's message where sqrt(X1 X2) is below about 5.6e-309 and L is not finite
+L_OUT_OF_RANGE = "core length is out of range: L passes the double range for X1 = {}, X2 = {}"
 
 # Vertex quadruple, in cross-ratio argument order [x:y:z:w], whose cross
 # ratio recovers each coordinate.  Vertices are labelled points of the
