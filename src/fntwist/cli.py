@@ -25,8 +25,8 @@ import sys
 from .annulus import (_MIN_NORMAL, HYPERBOLICITY_MARGIN, AnnulusCoords, core_geodesic,
                       coords_from_endpoints, endpoints, length_trace)
 from .sampling import Lcg, random_coords
-from .twist import (_SHIFT_THRESHOLD, MAX_TWIST_LENGTH, _growth, _translation_core, dehn_twist,
-                    twist_closed_form, twist_from_core, twist_oracle, twist_p_form)
+from .twist import (_SHIFT_THRESHOLD, MAX_TWIST_LENGTH, _fenchel_nielsen, _growth, _p_form,
+                    dehn_twist, twist_closed_form, twist_oracle, twist_p_form)
 
 # a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
@@ -100,13 +100,12 @@ def _max_rel(a: AnnulusCoords, b: AnnulusCoords) -> float:
 
 # ---------------------------------------------------------------- twist/dehn
 
-def _quadruple_report(args, kernel, name, value):
-    """Write kernel(coords, value) for the parsed --coords, with the translation's L and trace."""
+def _quadruple_report(args, name, value):
+    """Write the translation by value (t or m) of the parsed --coords, with its own L and trace."""
     import json  # here, not at the top: a process that writes no JSON does not load it
     coords = parse_coords(args.coords)
-    result = kernel(coords, value)
-    # not length_trace's: its margin refuses inputs that both kernels serve
-    length, trace = _translation_core(coords[0], coords[1])[:2]
+    # L and trace from the kernel's pass, not length_trace, whose margin refuses inputs it serves
+    result, length, trace = _fenchel_nielsen(coords, value, name)
     if args.format == "csv":
         text = ",".join(_NAMES[1:]) + "\n" + ",".join(f"{v:.17g}" for v in (*result, length, trace))
     else:
@@ -123,11 +122,11 @@ def _quadruple_report(args, kernel, name, value):
 
 
 def cmd_twist(args) -> int:
-    return _quadruple_report(args, twist_oracle, "t", args.t)
+    return _quadruple_report(args, "t", args.t)
 
 
 def cmd_dehn(args) -> int:
-    return _quadruple_report(args, dehn_twist, "m", args.m)
+    return _quadruple_report(args, "m", args.m)
 
 
 # ----------------------------------------------------------------------- flow
@@ -136,18 +135,18 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t from 0.0 to t_max.
 
     Each row equals (t, *twist_p_form(coords, t), *length_trace(X1', X2')) bit for bit, but
-    p-form's t-independent terms are computed once: a row costs one exp, a dozen products
-    and its own L and trace, so the rows exhibit, rather than assume, their invariance.  A
-    failing row hands off to twist_from_core or length_trace for their errors.  A span whose
-    end is past the |t| L cap or not finite, or steps < 1, raises before any sample.  A
-    sample's ValueError gets its t and the input coords appended.
+    core_geodesic and p-form's other t-independent terms are computed once: a row costs one
+    exp, a dozen products and its own L and trace, so the rows exhibit, rather than assume,
+    their invariance.  A failing row hands off to _p_form, p-form's one-body kernel, or to
+    length_trace, which raise their own errors.  A span whose end is past the |t| L cap or
+    not finite, or steps < 1, raises before any sample.  A sample's ValueError gets its t and
+    the input coords appended.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
-    core = core_geodesic(coords)
-    length, _, p1, p2 = core
+    length, _, p1, p2 = core_geodesic(coords)
     t_max = _growth(coords, t_max, length)[0]
-    # twist_from_core's terms that do not depend on t, in its order of operations
+    # _p_form's terms that do not depend on t, in its order of operations
     x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1
     near, neg = x1 + p1, x1 + p2
@@ -179,9 +178,9 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
                 y3, y4 = x3 * ratio, x4 * ratio
                 if not (tiny <= y1 < inf and tiny <= y2 < inf and tiny <= y3 < inf
                         and tiny <= y4 < inf):
-                    y1, y2, y3, y4 = twist_from_core(coords, core, t)  # raises the range error
+                    y1, y2, y3, y4 = _p_form(coords, t)  # raises the range error
             else:
-                y1, y2, y3, y4 = twist_from_core(coords, core, t)  # raises the guard's error
+                y1, y2, y3, y4 = _p_form(coords, t)  # raises the guard's error
             # length_trace's arithmetic and tests
             product = y1 * y2
             if product >= tiny and lowest < (tr := (y1 * (y2 + 1.0) + 1.0) / sqrt(product)) < inf:

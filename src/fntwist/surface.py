@@ -13,8 +13,8 @@ from __future__ import annotations
 import struct
 from array import array
 
-from .annulus import _coordinate, core_geodesic
-from .twist import twist_from_core
+from .annulus import _coordinate
+from .twist import _p_form
 
 # Blocks hold 64 doubles, 512 bytes: the largest request CPython's small-object allocator
 # serves.  A narrower block is no cheaper to copy; it only adds references to pass on.
@@ -109,7 +109,9 @@ class AnnulusEmbedding(_Frozen):
 def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> SurfaceCoords:
     """Twist the embedded annulus quadruple by t, leaving all other entries alone.
 
-    The kernel checks only the quadruple's trace, once, and every error names
+    The kernel is p-form's _p_form, which runs the point in one body (two
+    frames, with length_trace): it checks only the quadruple's trace, once, and
+    returns a plain 4-tuple, so no AnnulusCoords is built.  Every error names
     the embedding indices.  The result copies each block holding one of the
     four indices (at most four), writes the twisted values into those copies
     and shares every other block with `coords`, whose blocks are never
@@ -126,8 +128,8 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
         idx = embedding.as_tuple()
         raise ValueError(f"embedding index {max(idx)} exceeds coordinate count {len(coords)}"
                          f"; embedding indices {idx}") from None
-    try:  # twist_p_form's two halves, without building an AnnulusCoords to unpack
-        twisted = twist_from_core(quad, core_geodesic(quad), t)
+    try:  # twist_p_form's kernel, without the AnnulusCoords it wraps the result in
+        twisted = _p_form(quad, t)
     except (ValueError, OverflowError) as exc:  # TwistRangeError is an OverflowError
         raise type(exc)(f"{exc}; embedding indices {embedding.as_tuple()}") from None
     out = list(blocks)

@@ -3,21 +3,31 @@
 Three independent routes compute the twisted quadruple:
 
 * twist_p_form, the flow's route, a rational function of e^(t L) and the
-  axis endpoints p1, p2 taken from the quadratic route; a local twist calls
-  its two halves, core_geodesic and twist_from_core, and fntwist flow
-  computes its t-independent terms once per trajectory, so a row costs one
-  exp and a dozen products and equals twist_p_form bit for bit;
+  axis endpoints p1, p2 taken from the quadratic route.  Its kernel _p_form
+  runs a point in one body (length_trace, then core_geodesic's operations and
+  the flow), and returns a plain 4-tuple: twist_p_form wraps it as
+  AnnulusCoords, a local twist uses it as it is, and fntwist flow computes
+  its t-independent terms once per trajectory, so a row costs one exp and a
+  dozen products and equals twist_p_form bit for bit;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
 * twist_oracle, the Fenchel-Nielsen translation tau -> tau + t L of the
   twist coordinate at fixed core length L, sharing no algebra with the
-  p-form; fntwist twist runs it.  stratum_map gives the moving side's map.
+  p-form; fntwist twist runs it.  Its kernel _fenchel_nielsen also runs a
+  point in one body and returns L and the trace with the result, which
+  fntwist twist and dehn report.  stratum_map gives the moving side's map.
+
+Frames per call: twist_p_form 3 (itself, _p_form, length_trace), a local
+twist's kernel 2 (_p_form, length_trace), twist_oracle and dehn_twist 2
+(itself, _fenchel_nielsen); _growth, _checked and core_geodesic are called
+only on a failing path or for a t that is not a plain float (nor, for the
+translation, a plain int).
 
 _growth owns t and the Dehn count m: it converts, checks and caps either and
 returns it with the scale pair (moved, fixed), moved / fixed = e^(t L), so
 p-form and the closed form write each gap A e^(t L) - B once, as A moved - B
-fixed (twist_from_core, the hot path, takes the pair inline for a plain float
-t); the oracle uses only t.  stratum_map's det-1 diagonal takes its own
+fixed (the two kernels take its cap test inline, and _p_form the scale pair
+too); the oracle uses only t.  stratum_map's det-1 diagonal takes its own
 e^(+/- t L/2): scaling (moved, fixed) to det 1 loses range.
 
 At integer parameters the flow is a power of the Dehn twist: dehn_twist
@@ -39,6 +49,10 @@ from .mobius import MobiusMap
 MAX_TWIST_LENGTH = 650.0
 _SHIFT_THRESHOLD = 300.0
 _INF = math.inf  # a module global: one dict load, not math's attribute lookup on top
+# The translation forms X1 X2 - 1 by Dekker's TwoProduct (Numer. Math. 18, 1971) where both
+# factors lie in [2^-900, 2^900]: the split by 2^27 + 1 neither overflows nor underflows there
+_SPLIT = 134217729.0
+_TINY_FACTOR, _HUGE_FACTOR = 2.0 ** -900, 2.0 ** 900
 
 
 class TwistRangeError(OverflowError):
@@ -97,14 +111,31 @@ def _checked(values, coords: AnnulusCoords, name: str, value) -> AnnulusCoords:
     return tuple.__new__(AnnulusCoords, values)
 
 
-def twist_from_core(coords: AnnulusCoords, core, t):
-    """The twisted quadruple as a 4-tuple, given core = core_geodesic(coords).
+def _p_form(coords, t):
+    """twist_p_form's values as a plain 4-tuple: the whole kernel in one body.
 
-    The invariants depend only on the start, so a trajectory computes them
-    once and calls this for every t.  A plain float t within the cap takes
-    _growth's scale pair inline; any other t goes through _growth.
+    length_trace checks X1, X2 once; then core_geodesic's operations give p1, p2
+    in its order (it is called only to raise its discriminant error), and the flow
+    follows.  A plain float t within the cap takes _growth's scale pair inline;
+    any other t goes through _growth.  Errors come in the order trace,
+    discriminant, t and the cap, axis gap, underflowed product, result range.
     """
-    length, _, p1, p2 = core
+    x1, x2, x3, x4 = coords
+    length = length_trace(x1, x2)[0]
+    spread = x1 * (x2 + 1.0)
+    lin = spread - 1.0
+    try:
+        disc = (spread + 1.0) ** 2 - 4.0 * x1 * x2
+    except OverflowError:  # core_geodesic owns the discriminant's message
+        core_geodesic(coords)
+        raise
+    sq = math.sqrt(disc)
+    if lin > 0.0:
+        p2 = (-lin - sq) / 2.0
+        p1 = -x1 / p2
+    else:
+        p1 = (-lin + sq) / 2.0
+        p2 = -x1 / p1
     if type(t) is float and abs(s := t * length) <= MAX_TWIST_LENGTH:  # False for nan too
         if s <= _SHIFT_THRESHOLD:  # _growth's two branches, bit for bit
             moved, fixed = math.exp(s), 1.0
@@ -112,7 +143,6 @@ def twist_from_core(coords: AnnulusCoords, core, t):
             moved, fixed = 1.0, math.exp(-s)
     else:
         t, moved, fixed = _growth(coords, t, length)
-    x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
     # x1 + p2 < 0 < x1 + p1, so both gaps add like-signed terms.  x1 + p2 cancels
     # as p1 nears 1 (|x1 + p2| = |1 - p1| |p2|); there it is -x1^2 x2 / (x1 + p1),
@@ -139,8 +169,8 @@ def twist_from_core(coords: AnnulusCoords, core, t):
 
 
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
-    """Twist four positive finite floats by t core lengths; core_geodesic checks their trace."""
-    return tuple.__new__(AnnulusCoords, twist_from_core(coords, core_geodesic(coords), t))
+    """Twist four positive finite floats by t core lengths; length_trace checks their trace."""
+    return tuple.__new__(AnnulusCoords, _p_form(coords, t))
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
@@ -169,61 +199,74 @@ def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
 
 def twist_oracle(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Fenchel-Nielsen twist: translate the twist coordinate tau by t L at fixed L."""
-    return _fenchel_nielsen(coords, t, "t")
+    return _fenchel_nielsen(coords, t, "t")[0]
 
 
 def dehn_twist(coords: AnnulusCoords, m: int) -> AnnulusCoords:
     """m-fold Dehn twist: the Fenchel-Nielsen translation tau -> tau + m L, O(1) in m."""
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"twist count must be an integer, got {type(m).__name__}")
-    return _fenchel_nielsen(coords, m, "m")
+    return _fenchel_nielsen(coords, m, "m")[0]
 
 
-def _translation_core(x1: float, x2: float):
-    """(L, tr, sinh(L/2), sqrt X1, r, X1 X2 - 1) of the translation, for any positive X1, X2.
+def _fenchel_nielsen(coords: AnnulusCoords, t, name: str):
+    """(twisted, L, |trace|): the twist by t (name "t") or by the int count m (name "m"), in O(1).
 
-    With r = sqrt(X1 X2) and d = tr - 2 = ((r - 1)^2 + X1)/r: sinh(L/2) = sqrt(d (d + 4))/2,
-    L = 2 asinh(sinh(L/2)) and tr = 2 + d.  d > 0 keeps its digits where tr - 2 would
-    cancel, so, unlike length_trace, no input is too close to parabolic.
+    Shares with the p-form only _growth and the result check.  With r = sqrt(X1 X2) and
+    d = tr - 2 = ((r - 1)^2 + X1)/r: sinh(L/2) = sqrt(d (d + 4))/2, L = 2 asinh(sinh(L/2))
+    and tr = 2 + d.  d > 0 keeps its digits where tr - 2 would cancel, so, unlike
+    length_trace, no input is too close to parabolic.  sinh(tau/2) = (1 - X1 (X2 + 1))/(2
+    sqrt(X1)), and X3 r and X4 r are invariant.  With h = (tau + t L)/2 the result has
+    X2' = (cosh h / sinh(L/2))^2 and sqrt(X1') = 1/(sinh h + R), R = hypot(sinh h, sqrt(X2' + 1)).
     """
+    x1, x2, x3, x4 = coords
     q1 = math.sqrt(x1)
     r = q1 * math.sqrt(x2)
     if 0.5 < r < 1.5:  # X1 X2 - 1 cancels: round it once from the exact product
-        (n1, d1), (n2, d2) = x1.as_integer_ratio(), x2.as_integer_ratio()
-        pm1 = (n1 * n2 - d1 * d2) / (d1 * d2)
+        if (0.5 <= (p := x1 * x2) <= 2.0 and _TINY_FACTOR <= x1 <= _HUGE_FACTOR
+                and _TINY_FACTOR <= x2 <= _HUGE_FACTOR):
+            # Dekker's TwoProduct: X1 X2 = p + e exactly, and p - 1 is exact (Sterbenz)
+            c1, c2 = _SPLIT * x1, _SPLIT * x2
+            a_hi, b_hi = c1 - (c1 - x1), c2 - (c2 - x2)
+            a_lo, b_lo = x1 - a_hi, x2 - b_hi
+            e = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+            pm1 = (p - 1.0) + e
+        else:
+            (n1, d1), (n2, d2) = x1.as_integer_ratio(), x2.as_integer_ratio()
+            pm1 = (n1 * n2 - d1 * d2) / (d1 * d2)
         rm1 = pm1 / (r + 1.0)
     else:
         pm1, rm1 = x1 * x2 - 1.0, r - 1.0
     d = rm1 * (rm1 / r) + x1 / r  # not (rm1^2 + X1)/r, whose rm1^2 overflows
     sigma = math.sqrt(d) * math.sqrt(d + 4.0) / 2.0
-    return 2.0 * math.asinh(sigma), 2.0 + d, sigma, q1, r, pm1
-
-
-def _fenchel_nielsen(coords: AnnulusCoords, t, name: str) -> AnnulusCoords:
-    """The twist by t (name "t") or by the int count m (name "m"), in O(1).
-
-    Shares with the p-form only _growth and the result check.  With _translation_core's
-    invariants, sinh(tau/2) = (1 - X1 (X2 + 1))/(2 sqrt(X1)), and X3 r and X4 r are invariant.
-    With h = (tau + t L)/2 the result has X2' = (cosh h / sinh(L/2))^2 and
-    sqrt(X1') = 1/(sinh h + R), R = hypot(sinh h, sqrt(X2' + 1)).
-    """
-    x1, x2, x3, x4 = coords
-    length, _, sigma, q1, r, pm1 = _translation_core(x1, x2)
+    length = 2.0 * math.asinh(sigma)
     if not length < _INF:  # rm1 / r overflows once r is below about 5.6e-309
         raise TwistRangeError(f"core length is out of range: L passes the double range "
                               f"for X1 = {x1!r}, X2 = {x2!r}")
-    shift = _growth(coords, t, length, name)[0] * (length / 2.0)  # t L/2; messages name t as given
+    # _growth's cap test inline for a plain float t or an int m within float range (m * L
+    # converts m to float, which raises past that range); messages name t as given
+    if (type(t) is float or type(t) is int and -1e308 < t < 1e308) and abs(
+            t * length) <= MAX_TWIST_LENGTH:
+        shift = t * (length / 2.0)
+    else:
+        shift = _growth(coords, t, length, name)[0] * (length / 2.0)
     h = math.asinh((-pm1 - x1) / (2.0 * q1)) + shift
     if not h > -_INF:  # the numerator is below 1, so h is -inf only where it overflowed
         raise TwistRangeError(f"twist coordinate tau is out of range: X1 * (X2 + 1) passes "
                               f"the double range for X1 = {x1!r}, X2 = {x2!r}")
     try:
         sh, up = math.sinh(h), math.cosh(h) / sigma
-        y2 = up * up
-        big = math.hypot(sh, math.sqrt(y2 + 1.0))
     except OverflowError:
         raise _out_of_range("a Fenchel-Nielsen intermediate overflowed", coords, name, t) from None
+    y2 = up * up
+    if not y2 < _INF:  # then R = inf, and 1/(sinh h + R) would lose X1' to 0 or nan
+        raise _out_of_range("twisted coordinate X2' passes the double range", coords, name, t)
+    big = math.hypot(sh, math.sqrt(y2 + 1.0))
     # sinh h + R cancels for h < 0, where 1/(sinh h + R) = (R - sinh h)/(X2' + 1)
     q1 = 1.0 / (sh + big) if h >= 0.0 else (big - sh) / (y2 + 1.0)
     ratio = r / (q1 * up)  # r / r'
-    return _checked((q1 * q1, y2, x3 * ratio, x4 * ratio), coords, name, t)
+    y1, y3, y4 = q1 * q1, x3 * ratio, x4 * ratio
+    if (_MIN_NORMAL <= y1 < _INF and _MIN_NORMAL <= y2 < _INF
+            and _MIN_NORMAL <= y3 < _INF and _MIN_NORMAL <= y4 < _INF):
+        return tuple.__new__(AnnulusCoords, (y1, y2, y3, y4)), length, 2.0 + d
+    return _checked((y1, y2, y3, y4), coords, name, t), length, 2.0 + d  # raises

@@ -9,20 +9,22 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fntwist
 from fntwist import cli
 from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
                          sample_flow)
 from fntwist import AnnulusCoords, TwistRangeError, core_geodesic, twist_p_form
 from fntwist.annulus import length_trace
-from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, first_difference, format_csv_reference,
-                  format_flow_json_reference, load_benchmark_module, max_rel, rel_err,
-                  svg_points_reference)
+from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, X2_OUT_OF_RANGE, first_difference,
+                  format_csv_reference, format_flow_json_reference, load_benchmark_module,
+                  max_rel, rel_err, svg_points_reference)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -154,10 +156,27 @@ class TestTwistCommand:
             "5e-324", "5e-324")),
         (["twist", "--coords", "1e-320,1e-300,1,1", "--t", "0", "--format", "csv"],
          L_OUT_OF_RANGE.format("1e-320", "1e-300")),
+        # X2' passes the double range (mpmath: 1.0e330, 4.3e308, 1.0e350): named, never a bare
+        # "float division by zero" or twisted coordinates reported as nan
+        (["twist", "--coords", "1e-110,1e55,1,1", "--t", "5"],
+         X2_OUT_OF_RANGE.format("(1e-110, 1e+55, 1.0, 1.0)", "t", "5.0")),
+        (["dehn", "--coords", "1.8063148471158143e-191,7.135000465923335e+72,"
+                              "2.9683560644159535e+177,1424.9646945282793", "--m", "2"],
+         X2_OUT_OF_RANGE.format("(1.8063148471158143e-191, 7.135000465923335e+72, "
+                                "2.9683560644159535e+177, 1424.9646945282793)", "m", "2")),
+        (["twist", "--coords", "1e50,1e150,1,1", "--t", "-1"],
+         X2_OUT_OF_RANGE.format("(1e+50, 1e+150, 1.0, 1.0)", "t", "-1.0")),
+        # past both the discriminant and the |t| L cap: the discriminant is refused first
+        (["flow", "--coords", "1.0768319880933315e+19,2.1740272755523496e+166,"
+                              "2.296780560942456e-21,1.1609945560439939e+254",
+          "--t", "-1.9378470167760713", "--steps", "1"],
+         "core geodesic discriminant overflows "
+         "for X1 = 1.0768319880933315e+19, X2 = 2.1740272755523496e+166"),
     ], ids=["nan-trace", "nan-trace-overflowed-product", "inf-trace", "underflowed-denominator",
             "subnormal-product", "twist-discriminant", "subnormal-result", "flow-discriminant",
             "dehn-nan-trace", "dehn-nan-trace-overflowed-product", "dehn-inf-trace",
-            "inf-length", "dehn-inf-length", "inf-length-csv"])
+            "inf-length", "dehn-inf-length", "inf-length-csv", "x2-overflow-division",
+            "dehn-x2-overflow-division", "x2-overflow-nan", "flow-discriminant-past-cap"])
     def test_out_of_range_quadruple_names_x1_x2(self, capsys, argv, message):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -491,7 +510,7 @@ class TestSampleFlow:
         # a plain tuple compare: every value is a positive finite float or t, so == is bit equality
         assert flow_outcome(coords, t_max, steps) == p_form_flow(coords, t_max, steps)
 
-    # mid-span failures, 40 steps each: the flow raises twist_from_core's error at the failing t
+    # mid-span failures, 40 steps each: the flow raises p-form's own error at the failing t
     @pytest.mark.parametrize("start, t_max, why", [
         ((1.5472780941062953e-62, 8.374744773094843e+16, 1.5664231862501934e-32,
           3.0126805990081836e+52), -5.723082583850387, "an intermediate product underflowed"),
@@ -665,6 +684,40 @@ class TestDrawFlowScript:
         assert captured.err.startswith("error: |t| * L = ")
         assert "coords (1.0, 1.0, 1.0, 1.0), t = 400.0;" in captured.err
         assert not (tmp_path / "out").exists()
+
+
+class TestTwistAbScript:
+    @staticmethod
+    def load(monkeypatch):
+        path = ROOT / "scripts" / "twist_ab.py"
+        spec = importlib.util.spec_from_file_location("twist_ab", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "WIDE", 300)
+        monkeypatch.setattr(script, "BAND", 300)
+        return script
+
+    def test_a_tree_matches_itself(self, monkeypatch, capsys):
+        script = self.load(monkeypatch)
+        assert script.parity((fntwist, fntwist), 1) == 0
+        assert capsys.readouterr().out == (
+            "parity: 600 cases (300 wide-range, 300 band) x 4 kernels, 0 differ\n")
+
+    def test_differences_are_counted_by_kind(self, monkeypatch, capsys):
+        # a change side whose oracle moves every result one ulp up
+        script = self.load(monkeypatch)
+
+        def nudged(coords, t):
+            result = fntwist.twist_oracle(coords, t)
+            return AnnulusCoords(*[math.nextafter(x, math.inf) for x in result])
+
+        change = types.SimpleNamespace(**{name: getattr(fntwist, name) for name in fntwist.__all__})
+        change.twist_oracle = nudged
+        differ = script.parity((fntwist, change), 1)
+        out = capsys.readouterr().out
+        served = int(re.search(r"^ +(\d+)  twist_oracle: result  ->  result$", out, re.M)[1])
+        assert differ == served > 0
+        assert out.count("base:   ") == out.count("change: ") == 3
 
 
 class TestProjectionParsing:

@@ -1,11 +1,13 @@
+import contextlib
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fntwist.annulus
@@ -28,9 +30,9 @@ from fntwist.annulus import length_trace
 from fntwist.cli import sample_flow
 from fntwist.mobius import MobiusMap
 from fntwist.sampling import Lcg, random_coords
-from fntwist.twist import stratum_map, twist_from_core
-from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, FloatSubclass, holonomy_f2,
-                  load_benchmark_module, max_rel, rel_err)
+from fntwist.twist import _fenchel_nielsen, _p_form, stratum_map
+from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, X2_OUT_OF_RANGE, FloatSubclass, IntSubclass,
+                  holonomy_f2, load_benchmark_module, max_rel, rel_err)
 
 UNIT = AnnulusCoords(1, 1, 1, 1)
 DEHN_OF_UNIT = (0.25, 1.0, 2.0, 2.0)
@@ -72,6 +74,24 @@ def moved_vertex_images(coords, t):
     e1, _, e3, _ = endpoints(coords)
     m = stratum_map(coords, t)
     return tuple(m.apply(v) for v in (0.0, e1, e3))
+
+
+def ulps_from(x: float, k: int) -> float:
+    """x moved k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# (X1, X2) with X1 X2 near the translation's band bounds 0.5, 1 and 2, X1 near the factor
+# bounds 2^-900 and 2^900 (X2 = X1 X2 / X1 then lies near them too), or anywhere between
+band_pairs = st.builds(
+    lambda x1, product: (x1, product / x1),
+    st.one_of(st.builds(ulps_from, st.sampled_from([2.0 ** -900, 2.0 ** 900, 1.0]),
+                        st.integers(-3, 3)),
+              st.floats(2.0 ** -1000, 2.0 ** 1000)),
+    st.one_of(st.builds(ulps_from, st.sampled_from([0.5, 1.0, 2.0]), st.integers(-3, 3)),
+              st.floats(0.26, 2.24)))
 
 
 class TestStratumMap:
@@ -364,6 +384,25 @@ class TestLargeParameters:
             twist_p_form(AnnulusCoords(*coords), t)
         assert type(info.value) is error and str(info.value) == message
 
+    def test_discriminant_is_refused_before_the_cap(self):
+        # the input fails both the discriminant and the cap (|t| L = 827): p-form computes
+        # its core before it checks t, so each p-form caller raises the discriminant error
+        coords = (1.0768319880933315e+19, 2.1740272755523496e+166, 2.296780560942456e-21,
+                  1.1609945560439939e+254)
+        t = -1.9378470167760713
+        message = ("core geodesic discriminant overflows "
+                   "for X1 = 1.0768319880933315e+19, X2 = 2.1740272755523496e+166")
+        for call, expected in (
+                (lambda: twist_p_form(AnnulusCoords(*coords), t), message),
+                (lambda: _p_form(coords, t), message),
+                (lambda: apply_local_twist(SurfaceCoords(coords), AnnulusEmbedding(1, 2, 3, 4), t),
+                 f"{message}; embedding indices (1, 2, 3, 4)")):
+            with pytest.raises(OverflowError) as info:
+                call()
+            assert type(info.value) is OverflowError and str(info.value) == expected
+        with pytest.raises(TwistRangeError, match=r"^\|t\| \* L = 827\.129"):
+            twist_oracle(AnnulusCoords(*coords), t)
+
     @pytest.mark.parametrize("coords, t", [
         # p1 rounds to 1, so x1 + p2 evaluates to 0
         ((2.3647617156901504e-12, 2.78013075470335e-12, 3.2912851745561317e-10,
@@ -512,18 +551,30 @@ class TestKernelBits:
     def test_plain_float_path_matches_growth(self, quadruple, s, sign):
         # a float subclass goes through _growth; a plain float within the cap takes the
         # scale pair inline, so both must give the same bits or the same error at every
-        # float next to the 300 switch and the 650 cap
+        # float next to the 300 switch and the 650 cap.  The translation tests the cap
+        # inline for a plain float t and a plain int m, so it is checked the same way at
+        # each float next to the cap and at the counts either side of it
         coords = AnnulusCoords(*quadruple)
-        core = core_geodesic(coords)
-        near = sign * s / core[0]
-        for t in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
-            outcomes = []
-            for arg in (t, FloatSubclass(t)):
-                try:
-                    outcomes.append(tuple(x.hex() for x in twist_from_core(coords, core, arg)))
-                except TwistRangeError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], t
+        translation_length = _fenchel_nielsen(coords, 0.0, "t")[1]
+        for kernel, length in ((_p_form, core_geodesic(coords)[0]),
+                               (twist_oracle, translation_length)):
+            near = sign * s / length
+            for t in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
+                assert outcome(kernel, coords, t) == outcome(kernel, coords, FloatSubclass(t)), t
+        if s == 650.0:
+            count = int(s / translation_length)
+            for m in (count, count + 1):
+                m = m if sign > 0 else -m
+                assert outcome(dehn_twist, coords, m) == outcome(dehn_twist, coords,
+                                                                 IntSubclass(m)), m
+
+
+def outcome(kernel, coords, value):
+    """kernel(coords, value) as the hex of its four values, or its error's type and text."""
+    try:
+        return tuple(x.hex() for x in kernel(coords, value))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 # every entry point that takes a twist parameter, as f(coords, t)
@@ -532,7 +583,7 @@ T_ENTRY_POINTS = {
     "closed_form": twist_closed_form,
     "oracle": twist_oracle,
     "stratum_map": stratum_map,
-    "from_core": lambda coords, t: twist_from_core(coords, core_geodesic(coords), t),
+    "from_core": _p_form,  # p-form's body: the core and the flow in one pass, a plain tuple
     "sample_flow": lambda coords, t: sample_flow(coords, t, 10),
 }
 PAST_FLOAT_RANGE = ("|t| is past float range, so |t| * L exceeds 650.0 for coords "
@@ -638,6 +689,65 @@ class TestOracle:
             with pytest.raises(TwistRangeError) as info:
                 twist(coords, value)
             assert str(info.value) == L_OUT_OF_RANGE.format(repr(x1), repr(x2))
+
+    @pytest.mark.parametrize("twist, coords, value", [
+        (twist_oracle, (1e-110, 1e55, 1.0, 1.0), 5.0),
+        (dehn_twist, (1.8063148471158143e-191, 7.135000465923335e+72, 2.9683560644159535e+177,
+                      1424.9646945282793), 2),
+        (twist_oracle, (1e50, 1e150, 1.0, 1.0), -1.0),
+    ], ids=["oracle-h-positive", "dehn-h-positive", "oracle-h-negative"])
+    def test_twisted_x2_past_float_range_is_a_range_error(self, twist, coords, value):
+        # mpmath gives X2' = 1.0e330, 4.3e308 and 1.0e350.  Once X2' = up * up overflows,
+        # R = hypot(sinh h, sqrt(X2' + 1)) is inf, so sqrt(X1') came out 0 (and r / r'
+        # divided by zero) for h >= 0, or nan for h < 0, where X1' is in fact 1e-150
+        exact = load_benchmark_module("reference").twist_reference(coords, float(value))
+        assert exact[1] > sys.float_info.max
+        with pytest.raises(TwistRangeError) as info:
+            twist(AnnulusCoords(*coords), value)
+        name = "m" if twist is dehn_twist else "t"
+        assert str(info.value) == X2_OUT_OF_RANGE.format(coords, name, value)
+
+    def test_no_refusal_reports_nan(self):
+        # seeded wide-range draws: each coordinate 10^u with u uniform in +/-w, w up to 300,
+        # and |t L| and |m L| uniform to 700, past the cap.  Every refusal is typed (a
+        # ZeroDivisionError would escape) and names no nan
+        rng, refused = random.Random(3232), []
+        for i in range(4000):
+            width = (1.0, 10.0, 100.0, 300.0)[i % 4]
+            coords = AnnulusCoords(*[10.0 ** rng.uniform(-width, width) for _ in range(4)])
+            try:
+                length = _fenchel_nielsen(coords, 0.0, "t")[1]
+            except TwistRangeError as exc:
+                refused.append(str(exc))
+                continue
+            t = rng.uniform(-700.0, 700.0) / length
+            for twist, value in ((twist_oracle, t), (dehn_twist, int(t))):
+                try:
+                    twist(coords, value)
+                except TwistRangeError as exc:
+                    refused.append(str(exc))
+        assert [text for text in refused if "nan" in text] == []
+        assert sum(text.startswith("twisted coordinate X2'") for text in refused) > 100
+
+    @given(band_pairs)
+    @example((0.5, 1.0))
+    @example((2.0 ** -900, 2.0 ** 900))
+    @example((math.nextafter(2.0 ** 900, math.inf), math.nextafter(2.0 ** -900, 0.0)))
+    @example((2.0 ** 1000, 2.0 ** -1000))  # past about 2^996 the split by 2^27 + 1 overflows
+    def test_band_product_minus_one_is_rounded_once(self, pair):
+        # in the band the translation forms X1 X2 - 1 from the exact product, by TwoProduct
+        # where 0.5 <= X1 X2 <= 2 and both factors lie in [2^-900, 2^900], and from
+        # as_integer_ratio elsewhere; either way it must be the product rounded once.  It
+        # enters h = asinh((-(X1 X2 - 1) - X1)/(2 sqrt X1)) + t L/2, the second asinh call
+        x1, x2 = pair
+        assume(0.5 < math.sqrt(x1) * math.sqrt(x2) < 1.5)
+        exact = float(Fraction(x1) * Fraction(x2) - 1)
+        arguments, asinh = [], math.asinh
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math, "asinh", lambda v: arguments.append(v) or asinh(v))
+            with contextlib.suppress(TwistRangeError):
+                _fenchel_nielsen(AnnulusCoords(x1, x2, 1.0, 1.0), 0.0, "t")
+        assert arguments[1] == (-exact - x1) / (2.0 * math.sqrt(x1))
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):

@@ -15,6 +15,9 @@ TAU_OUT_OF_RANGE = ("twist coordinate tau is out of range: X1 * (X2 + 1) passes 
                     "for X1 = {}, X2 = {}")
 # the translation's message where sqrt(X1 X2) is below about 5.6e-309 and L is not finite
 L_OUT_OF_RANGE = "core length is out of range: L passes the double range for X1 = {}, X2 = {}"
+# the translation's message where X2' = (cosh h / sinh(L/2))^2 passes the double range
+X2_OUT_OF_RANGE = ("twisted coordinate X2' passes the double range for coords {}, {} = {}; "
+                   "result not representable")
 
 # Vertex quadruple, in cross-ratio argument order [x:y:z:w], whose cross
 # ratio recovers each coordinate.  Vertices are labelled points of the
@@ -34,6 +37,10 @@ ARC_QUADRUPLES = {
 
 class FloatSubclass(float):
     """A number the library must convert with float(): it never takes a plain-float path."""
+
+
+class IntSubclass(int):
+    """A Dehn count the library must convert with float(): it never takes the plain-int path."""
 
 
 def load_benchmark_module(name: str):
