@@ -34,6 +34,11 @@ def _number_text(value) -> str:
         return f"{'-' if value < 0 else ''}<{bits}-bit {type(value).__name__}>"
 
 
+def _discriminant_overflow(x1: float, x2: float) -> OverflowError:
+    """The axis endpoints' error, where (X1 (X2 + 1) + 1)^2 passes the double range."""
+    return OverflowError(f"core geodesic discriminant overflows for X1 = {x1!r}, X2 = {x2!r}")
+
+
 def _coordinate(field, v) -> float:
     try:
         v = float(v)
@@ -123,8 +128,7 @@ def core_geodesic(coords: AnnulusCoords):
     try:
         disc = (spread + 1.0) ** 2 - 4.0 * x1 * x2
     except OverflowError:  # the square passes the double range once X1 * (X2 + 1) nears 1.3e154
-        raise OverflowError("core geodesic discriminant overflows "
-                            f"for X1 = {x1!r}, X2 = {x2!r}") from None
+        raise _discriminant_overflow(x1, x2) from None
     sq = math.sqrt(disc)
     if lin > 0.0:
         p2 = (-lin - sq) / 2.0

@@ -19,9 +19,9 @@ Three independent routes compute the twisted quadruple:
 
 Frames per call: twist_p_form 3 (itself, _p_form, length_trace), a local
 twist's kernel 2 (_p_form, length_trace), twist_oracle and dehn_twist 2
-(itself, _fenchel_nielsen); _growth, _checked and core_geodesic are called
-only on a failing path or for a t that is not a plain float (nor, for the
-translation, a plain int).
+(itself, _fenchel_nielsen); _growth is called only on a failing path or for
+a t that is not a plain float (nor, for the translation, a plain int), and
+_checked and the error builders only on a failing path.
 
 _growth owns t and the Dehn count m: it converts, checks and caps either and
 returns it with the scale pair (moved, fixed), moved / fixed = e^(t L), so
@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import math
 
-from .annulus import _MIN_NORMAL, AnnulusCoords, _number_text, core_geodesic, length_trace
+from .annulus import (_MIN_NORMAL, AnnulusCoords, _discriminant_overflow, _number_text,
+                      core_geodesic, length_trace)
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -49,10 +50,6 @@ from .mobius import MobiusMap
 MAX_TWIST_LENGTH = 650.0
 _SHIFT_THRESHOLD = 300.0
 _INF = math.inf  # a module global: one dict load, not math's attribute lookup on top
-# The translation forms X1 X2 - 1 by Dekker's TwoProduct (Numer. Math. 18, 1971) where both
-# factors lie in [2^-900, 2^900]: the split by 2^27 + 1 neither overflows nor underflows there
-_SPLIT = 134217729.0
-_TINY_FACTOR, _HUGE_FACTOR = 2.0 ** -900, 2.0 ** 900
 
 
 class TwistRangeError(OverflowError):
@@ -115,10 +112,10 @@ def _p_form(coords, t):
     """twist_p_form's values as a plain 4-tuple: the whole kernel in one body.
 
     length_trace checks X1, X2 once; then core_geodesic's operations give p1, p2
-    in its order (it is called only to raise its discriminant error), and the flow
-    follows.  A plain float t within the cap takes _growth's scale pair inline;
-    any other t goes through _growth.  Errors come in the order trace,
-    discriminant, t and the cap, axis gap, underflowed product, result range.
+    in its order, raising its discriminant error, and the flow follows.  A plain
+    float t within the cap takes _growth's scale pair inline; any other t goes
+    through _growth.  Errors come in the order trace, discriminant, t and the
+    cap, axis gap, underflowed product, result range.
     """
     x1, x2, x3, x4 = coords
     length = length_trace(x1, x2)[0]
@@ -126,9 +123,8 @@ def _p_form(coords, t):
     lin = spread - 1.0
     try:
         disc = (spread + 1.0) ** 2 - 4.0 * x1 * x2
-    except OverflowError:  # core_geodesic owns the discriminant's message
-        core_geodesic(coords)
-        raise
+    except OverflowError:  # core_geodesic's own error
+        raise _discriminant_overflow(x1, x2) from None
     sq = math.sqrt(disc)
     if lin > 0.0:
         p2 = (-lin - sq) / 2.0
@@ -223,17 +219,8 @@ def _fenchel_nielsen(coords: AnnulusCoords, t, name: str):
     q1 = math.sqrt(x1)
     r = q1 * math.sqrt(x2)
     if 0.5 < r < 1.5:  # X1 X2 - 1 cancels: round it once from the exact product
-        if (0.5 <= (p := x1 * x2) <= 2.0 and _TINY_FACTOR <= x1 <= _HUGE_FACTOR
-                and _TINY_FACTOR <= x2 <= _HUGE_FACTOR):
-            # Dekker's TwoProduct: X1 X2 = p + e exactly, and p - 1 is exact (Sterbenz)
-            c1, c2 = _SPLIT * x1, _SPLIT * x2
-            a_hi, b_hi = c1 - (c1 - x1), c2 - (c2 - x2)
-            a_lo, b_lo = x1 - a_hi, x2 - b_hi
-            e = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-            pm1 = (p - 1.0) + e
-        else:
-            (n1, d1), (n2, d2) = x1.as_integer_ratio(), x2.as_integer_ratio()
-            pm1 = (n1 * n2 - d1 * d2) / (d1 * d2)
+        (n1, d1), (n2, d2) = x1.as_integer_ratio(), x2.as_integer_ratio()
+        pm1 = (n1 * n2 - d1 * d2) / (d1 * d2)
         rm1 = pm1 / (r + 1.0)
     else:
         pm1, rm1 = x1 * x2 - 1.0, r - 1.0

@@ -697,12 +697,6 @@ class TestTwistAbScript:
         monkeypatch.setattr(script, "BAND", 300)
         return script
 
-    def test_a_tree_matches_itself(self, monkeypatch, capsys):
-        script = self.load(monkeypatch)
-        assert script.parity((fntwist, fntwist), 1) == 0
-        assert capsys.readouterr().out == (
-            "parity: 600 cases (300 wide-range, 300 band) x 4 kernels, 0 differ\n")
-
     def test_differences_are_counted_by_kind(self, monkeypatch, capsys):
         # a change side whose oracle moves every result one ulp up
         script = self.load(monkeypatch)

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import random
@@ -7,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fntwist.annulus
@@ -76,22 +75,9 @@ def moved_vertex_images(coords, t):
     return tuple(m.apply(v) for v in (0.0, e1, e3))
 
 
-def ulps_from(x: float, k: int) -> float:
-    """x moved k ulps (toward +inf for k > 0)."""
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
-
-
-# (X1, X2) with X1 X2 near the translation's band bounds 0.5, 1 and 2, X1 near the factor
-# bounds 2^-900 and 2^900 (X2 = X1 X2 / X1 then lies near them too), or anywhere between
-band_pairs = st.builds(
-    lambda x1, product: (x1, product / x1),
-    st.one_of(st.builds(ulps_from, st.sampled_from([2.0 ** -900, 2.0 ** 900, 1.0]),
-                        st.integers(-3, 3)),
-              st.floats(2.0 ** -1000, 2.0 ** 1000)),
-    st.one_of(st.builds(ulps_from, st.sampled_from([0.5, 1.0, 2.0]), st.integers(-3, 3)),
-              st.floats(0.26, 2.24)))
+# quadruples log-uniform over 300 decades: the axis endpoints on either root branch, far
+# from 1 and near it, and inputs whose trace or discriminant is refused
+log_quadruples = st.builds(AnnulusCoords, *[st.floats(-150.0, 150.0).map(lambda u: 10.0 ** u)] * 4)
 
 
 class TestStratumMap:
@@ -569,6 +555,36 @@ class TestKernelBits:
                                                                  IntSubclass(m)), m
 
 
+    @given(st.one_of(coord_quadruples, log_quadruples))
+    @example(AnnulusCoords(0.5, 1.0, 1.0, 1.0))  # X1 (X2 + 1) - 1 = 0, the smaller-root branch
+    @example(AnnulusCoords(1e200, 1.0, 1.0, 1.0))  # the discriminant overflows
+    def test_p_form_takes_core_geodesics_axis_endpoints(self, coords):
+        # _p_form repeats core_geodesic's root-finding in its own body, so that a point costs
+        # no call for it: its p1, p2, read from its frame as it returns, or its trace or
+        # discriminant error must be core_geodesic's, bit for bit and word for word
+        try:
+            expected = core_geodesic(coords)[2:]
+        except (ValueError, OverflowError) as exc:
+            expected = type(exc), str(exc)
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is _p_form.__code__ and "p2" in frame.f_locals:
+                seen.append((frame.f_locals["p1"], frame.f_locals["p2"]))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            _p_form(coords, 0.0)
+        except TwistRangeError:  # the flow's own refusals come after p1 and p2
+            pass
+        except (ValueError, OverflowError) as exc:
+            seen.append((type(exc), str(exc)))
+        finally:
+            sys.setprofile(previous)
+        assert seen == [expected]
+
+
 def outcome(kernel, coords, value):
     """kernel(coords, value) as the hex of its four values, or its error's type and text."""
     try:
@@ -728,26 +744,6 @@ class TestOracle:
                     refused.append(str(exc))
         assert [text for text in refused if "nan" in text] == []
         assert sum(text.startswith("twisted coordinate X2'") for text in refused) > 100
-
-    @given(band_pairs)
-    @example((0.5, 1.0))
-    @example((2.0 ** -900, 2.0 ** 900))
-    @example((math.nextafter(2.0 ** 900, math.inf), math.nextafter(2.0 ** -900, 0.0)))
-    @example((2.0 ** 1000, 2.0 ** -1000))  # past about 2^996 the split by 2^27 + 1 overflows
-    def test_band_product_minus_one_is_rounded_once(self, pair):
-        # in the band the translation forms X1 X2 - 1 from the exact product, by TwoProduct
-        # where 0.5 <= X1 X2 <= 2 and both factors lie in [2^-900, 2^900], and from
-        # as_integer_ratio elsewhere; either way it must be the product rounded once.  It
-        # enters h = asinh((-(X1 X2 - 1) - X1)/(2 sqrt X1)) + t L/2, the second asinh call
-        x1, x2 = pair
-        assume(0.5 < math.sqrt(x1) * math.sqrt(x2) < 1.5)
-        exact = float(Fraction(x1) * Fraction(x2) - 1)
-        arguments, asinh = [], math.asinh
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(math, "asinh", lambda v: arguments.append(v) or asinh(v))
-            with contextlib.suppress(TwistRangeError):
-                _fenchel_nielsen(AnnulusCoords(x1, x2, 1.0, 1.0), 0.0, "t")
-        assert arguments[1] == (-exact - x1) / (2.0 * math.sqrt(x1))
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):
