@@ -6,8 +6,8 @@ Each argument is a directory holding an `fntwist` package (a checkout's
 `src/`).  Both packages are loaded into this one interpreter under their
 own names, so the two sides share one allocator and run close together in time.
 
-Parity comes first.  twist_p_form, twist_oracle, dehn_twist and
-apply_local_twist of both trees run on the same seeded draws: WIDE quadruples
+Parity comes first.  twist_p_form, twist_closed_form, twist_oracle, dehn_twist
+and apply_local_twist of both trees run on the same seeded draws: WIDE quadruples
 whose coordinates are 10^u with u uniform in +/-w, w from 1 to 300, and BAND
 quadruples with 0.5 < sqrt(X1 X2) < 1.5, where the translation forms X1 X2 - 1
 exactly.  t and m run to the |t L| cap and past it.  Every case whose bits,
@@ -105,6 +105,7 @@ def kernel_outcomes(pkg, quad, t, m):
     embedding = pkg.AnnulusEmbedding(2, 5, 1, 3)
     return {
         "twist_p_form": outcome(pkg.twist_p_form, coords, t),
+        "twist_closed_form": outcome(pkg.twist_closed_form, coords, t),
         "twist_oracle": outcome(pkg.twist_oracle, coords, t),
         "dehn_twist": outcome(pkg.dehn_twist, coords, m),
         "apply_local_twist": outcome(pkg.apply_local_twist, vector, embedding, t),
@@ -128,7 +129,7 @@ def parity(sides, seed: int) -> int:
             if was != now:
                 kinds[kernel, describe(was), describe(now)].append((draw, quad, t, m, was, now))
     total = sum(len(found) for found in kinds.values())
-    print(f"parity: {len(cases)} cases ({WIDE} wide-range, {BAND} band) x 4 kernels, "
+    print(f"parity: {len(cases)} cases ({WIDE} wide-range, {BAND} band) x 5 kernels, "
           f"{total} differ")
     for (kernel, was, now), found in sorted(kinds.items(), key=lambda item: -len(item[1])):
         print(f"  {len(found):>6}  {kernel}: {was}  ->  {now}")

@@ -20,8 +20,8 @@ import math
 import sys
 from operator import itemgetter
 
-# length_trace rejects X1, X2 whose holonomy trace is within this margin of
-# the parabolic threshold 2: nearer 2, rounding of the trace dominates L.
+# _core rejects X1, X2 whose holonomy trace is within this margin of the
+# parabolic threshold 2: nearer 2, rounding of the trace dominates L.
 HYPERBOLICITY_MARGIN = 1e-12
 _MIN_NORMAL = sys.float_info.min  # below it, X1 * X2 or a twisted coordinate has lost bits
 
@@ -32,11 +32,6 @@ def _number_text(value) -> str:
     except ValueError:  # a number past the int-to-str digit limit: give its size instead
         bits = abs(int(value)).bit_length()
         return f"{'-' if value < 0 else ''}<{bits}-bit {type(value).__name__}>"
-
-
-def _discriminant_overflow(x1: float, x2: float) -> OverflowError:
-    """The axis endpoints' error, where (X1 (X2 + 1) + 1)^2 passes the double range."""
-    return OverflowError(f"core geodesic discriminant overflows for X1 = {x1!r}, X2 = {x2!r}")
 
 
 def _coordinate(field, v) -> float:
@@ -50,26 +45,6 @@ def _coordinate(field, v) -> float:
         why = "strictly positive" if math.isfinite(v) else "finite"
         raise ValueError(f"coordinate {field} must be {why}, got {v!r}")
     return v
-
-
-def length_trace(x1: float, x2: float):
-    """(L, |trace|) of the core curve from X1, X2: the owner of the trace check and its messages.
-
-    ValueError naming X1, X2 if X1 * X2 is below _MIN_NORMAL (the trace would lose digits),
-    or if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite.
-    """
-    product = x1 * x2
-    if not product >= _MIN_NORMAL:  # subnormal or 0: its square root keeps only some bits
-        raise ValueError(f"holonomy trace is out of range: X1 * X2 = {product!r} is below the "
-                         f"smallest normal double for X1 = {x1!r}, X2 = {x2!r}")
-    tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(product)
-    if not 2.0 + HYPERBOLICITY_MARGIN < tr < math.inf:  # one test when valid; fires for nan too
-        if tr <= 2.0 + HYPERBOLICITY_MARGIN:
-            raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2 "
-                             f"for X1 = {x1!r}, X2 = {x2!r}")
-        raise ValueError(f"holonomy trace is out of range: |trace| = {tr} is not finite "
-                         f"for X1 = {x1!r}, X2 = {x2!r}")
-    return 2.0 * math.acosh(tr / 2.0), tr
 
 
 class AnnulusCoords(tuple):
@@ -114,21 +89,33 @@ def endpoints(coords: AnnulusCoords):
     return (-x1, -x1 * (x2 + 1.0), -x1 * x3 / (x3 + 1.0), (x4 + 1.0) / x4)
 
 
-def core_geodesic(coords: AnnulusCoords):
-    """The core geodesic as (length, |trace|, p1, p2), with axis endpoints p1 > 0 > p2.
+def _core(x1: float, x2: float):
+    """(L, |trace|, p1, p2) from X1, X2: the core geodesic's one body, checks and messages.
 
-    The axis endpoints are the roots of p^2 + (X1(X2+1) - 1) p - X1, taken
-    larger-magnitude root first and the companion via the product of roots
-    -X1, so no cancellation occurs.
+    ValueError naming X1, X2 if X1 * X2 is below _MIN_NORMAL (the trace would lose digits),
+    or if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite; then OverflowError
+    naming them if the discriminant passes the double range.  The axis endpoints p1 > 0 > p2
+    are the roots of p^2 + (X1(X2+1) - 1) p - X1, taken larger-magnitude root first and the
+    companion via the product of roots -X1, so no cancellation occurs.
     """
-    x1, x2, _, _ = coords
-    length, tr = length_trace(x1, x2)
+    product = x1 * x2
+    if not product >= _MIN_NORMAL:  # subnormal or 0: its square root keeps only some bits
+        raise ValueError(f"holonomy trace is out of range: X1 * X2 = {product!r} is below the "
+                         f"smallest normal double for X1 = {x1!r}, X2 = {x2!r}")
     spread = x1 * (x2 + 1.0)
+    tr = (spread + 1.0) / math.sqrt(product)
+    if not 2.0 + HYPERBOLICITY_MARGIN < tr < math.inf:  # one test when valid; fires for nan too
+        if tr <= 2.0 + HYPERBOLICITY_MARGIN:
+            raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2 "
+                             f"for X1 = {x1!r}, X2 = {x2!r}")
+        raise ValueError(f"holonomy trace is out of range: |trace| = {tr} is not finite "
+                         f"for X1 = {x1!r}, X2 = {x2!r}")
     lin = spread - 1.0
     try:
         disc = (spread + 1.0) ** 2 - 4.0 * x1 * x2
     except OverflowError:  # the square passes the double range once X1 * (X2 + 1) nears 1.3e154
-        raise _discriminant_overflow(x1, x2) from None
+        raise OverflowError(f"core geodesic discriminant overflows for X1 = {x1!r}, "
+                            f"X2 = {x2!r}") from None
     sq = math.sqrt(disc)
     if lin > 0.0:
         p2 = (-lin - sq) / 2.0
@@ -136,7 +123,12 @@ def core_geodesic(coords: AnnulusCoords):
     else:
         p1 = (-lin + sq) / 2.0
         p2 = -x1 / p1
-    return length, tr, p1, p2
+    return 2.0 * math.acosh(tr / 2.0), tr, p1, p2
+
+
+def core_geodesic(coords: AnnulusCoords):
+    """The core geodesic as (length, |trace|, p1, p2), with axis endpoints p1 > 0 > p2."""
+    return _core(coords[0], coords[1])
 
 
 def coords_from_endpoints(ends) -> AnnulusCoords:

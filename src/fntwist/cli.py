@@ -22,8 +22,8 @@ import contextlib
 import math
 import sys
 
-from .annulus import (_MIN_NORMAL, HYPERBOLICITY_MARGIN, AnnulusCoords, core_geodesic,
-                      coords_from_endpoints, endpoints, length_trace)
+from .annulus import (_MIN_NORMAL, HYPERBOLICITY_MARGIN, AnnulusCoords, _core, core_geodesic,
+                      coords_from_endpoints, endpoints)
 from .sampling import Lcg, random_coords
 from .twist import (_SHIFT_THRESHOLD, MAX_TWIST_LENGTH, _fenchel_nielsen, _growth, _p_form,
                     dehn_twist, twist_closed_form, twist_oracle, twist_p_form)
@@ -104,7 +104,7 @@ def _quadruple_report(args, name, value):
     """Write the translation by value (t or m) of the parsed --coords, with its own L and trace."""
     import json  # here, not at the top: a process that writes no JSON does not load it
     coords = parse_coords(args.coords)
-    # L and trace from the kernel's pass, not length_trace, whose margin refuses inputs it serves
+    # L and trace from the kernel's pass, not _core, whose margin refuses inputs it serves
     result, length, trace = _fenchel_nielsen(coords, value, name)
     if args.format == "csv":
         text = ",".join(_NAMES[1:]) + "\n" + ",".join(f"{v:.17g}" for v in (*result, length, trace))
@@ -134,13 +134,14 @@ def cmd_dehn(args) -> int:
 def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t from 0.0 to t_max.
 
-    Each row equals (t, *twist_p_form(coords, t), *length_trace(X1', X2')) bit for bit, but
-    core_geodesic and p-form's other t-independent terms are computed once: a row costs one
-    exp, a dozen products and its own L and trace, so the rows exhibit, rather than assume,
-    their invariance.  A failing row hands off to _p_form, p-form's one-body kernel, or to
-    length_trace, which raise their own errors.  A span whose end is past the |t| L cap or
-    not finite, or steps < 1, raises before any sample.  A sample's ValueError gets its t and
-    the input coords appended.
+    Each row is t, twist_p_form(coords, t) and the L and trace that _core gives for its
+    X1', X2', bit for bit; a row takes no axis endpoints, so it needs no discriminant.
+    core_geodesic and p-form's other t-independent terms are computed once: a row costs
+    one exp, a dozen products and its own L and trace, so the rows exhibit, rather than
+    assume, their invariance.  A failing row hands off to _p_form, p-form's kernel, or to
+    _core, whose trace check then fails first; each raises its own error.  A span whose
+    end is past the |t| L cap or not finite, or steps < 1, raises before any sample.  A
+    sample's ValueError gets its t and the input coords appended.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
@@ -181,12 +182,12 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
                     y1, y2, y3, y4 = _p_form(coords, t)  # raises the range error
             else:
                 y1, y2, y3, y4 = _p_form(coords, t)  # raises the guard's error
-            # length_trace's arithmetic and tests
+            # _core's trace arithmetic and tests
             product = y1 * y2
             if product >= tiny and lowest < (tr := (y1 * (y2 + 1.0) + 1.0) / sqrt(product)) < inf:
                 append((t, y1, y2, y3, y4, 2.0 * acosh(tr / 2.0), tr))
             else:
-                append((t, y1, y2, y3, y4, *length_trace(y1, y2)))  # raises its ValueError
+                append((t, y1, y2, y3, y4, *_core(y1, y2)[:2]))  # raises its ValueError
     except ValueError as exc:  # a sample's own X1, X2 failed the trace check
         raise type(exc)(f"{exc}; flow sample at t = {t!r} from coords {tuple(coords)}") from None
     return samples
@@ -215,7 +216,7 @@ def format_csv(samples, out) -> None:
 def format_flow_json(coords, t_max, steps, samples, out) -> None:
     """Write the flow JSON, as json.dumps(indent=2) lays it out, to the text stream out."""
     import json
-    length, trace = length_trace(coords[0], coords[1])
+    length, trace = _core(coords[0], coords[1])[:2]
     head = json.dumps({
         "input": {"coords": list(coords), "t_max": t_max, "steps": steps},
         "invariants": {"L": length, "trace": trace},
@@ -331,7 +332,7 @@ def _flow_additivity(coords, rng):
 
 def _trace_invariance(coords, rng):
     moved = twist_p_form(coords, rng.uniform(0.0, 3.0))
-    return _rel_err(length_trace(coords[0], coords[1])[1], length_trace(moved[0], moved[1])[1])
+    return _rel_err(_core(coords[0], coords[1])[1], _core(moved[0], moved[1])[1])
 
 
 def _dehn_compatibility(coords, rng):

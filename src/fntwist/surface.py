@@ -109,8 +109,8 @@ class AnnulusEmbedding(_Frozen):
 def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> SurfaceCoords:
     """Twist the embedded annulus quadruple by t, leaving all other entries alone.
 
-    The kernel is p-form's _p_form, which runs the point in one body (two
-    frames, with length_trace): it checks only the quadruple's trace, once, and
+    The kernel is p-form's _p_form, which runs the point in two frames (with
+    annulus._core): it checks only the quadruple's trace, once, and
     returns a plain 4-tuple, so no AnnulusCoords is built.  Every error names
     the embedding indices.  The result copies each block holding one of the
     four indices (at most four), writes the twisted values into those copies

@@ -4,8 +4,8 @@ Three independent routes compute the twisted quadruple:
 
 * twist_p_form, the flow's route, a rational function of e^(t L) and the
   axis endpoints p1, p2 taken from the quadratic route.  Its kernel _p_form
-  runs a point in one body (length_trace, then core_geodesic's operations and
-  the flow), and returns a plain 4-tuple: twist_p_form wraps it as
+  takes L, p1, p2 from annulus._core, the core geodesic's one body, runs the
+  flow in its own, and returns a plain 4-tuple: twist_p_form wraps it as
   AnnulusCoords, a local twist uses it as it is, and fntwist flow computes
   its t-independent terms once per trajectory, so a row costs one exp and a
   dozen products and equals twist_p_form bit for bit;
@@ -17,8 +17,8 @@ Three independent routes compute the twisted quadruple:
   point in one body and returns L and the trace with the result, which
   fntwist twist and dehn report.  stratum_map gives the moving side's map.
 
-Frames per call: twist_p_form 3 (itself, _p_form, length_trace), a local
-twist's kernel 2 (_p_form, length_trace), twist_oracle and dehn_twist 2
+Frames per call: twist_p_form 3 (itself, _p_form, _core), a local twist's
+kernel 2 (_p_form, _core), twist_oracle and dehn_twist 2
 (itself, _fenchel_nielsen); _growth is called only on a failing path or for
 a t that is not a plain float (nor, for the translation, a plain int), and
 _checked and the error builders only on a failing path.
@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import math
 
-from .annulus import (_MIN_NORMAL, AnnulusCoords, _discriminant_overflow, _number_text,
-                      core_geodesic, length_trace)
+from .annulus import _MIN_NORMAL, AnnulusCoords, _core, _number_text, core_geodesic
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -109,29 +108,15 @@ def _checked(values, coords: AnnulusCoords, name: str, value) -> AnnulusCoords:
 
 
 def _p_form(coords, t):
-    """twist_p_form's values as a plain 4-tuple: the whole kernel in one body.
+    """twist_p_form's values as a plain 4-tuple: the core, then the flow in one body.
 
-    length_trace checks X1, X2 once; then core_geodesic's operations give p1, p2
-    in its order, raising its discriminant error, and the flow follows.  A plain
-    float t within the cap takes _growth's scale pair inline; any other t goes
-    through _growth.  Errors come in the order trace, discriminant, t and the
-    cap, axis gap, underflowed product, result range.
+    _core checks X1, X2 once and gives L, p1, p2.  A plain float t within the cap
+    takes _growth's scale pair inline; any other t goes through _growth.  Errors
+    come in the order trace, discriminant, t and the cap, axis gap, underflowed
+    product, result range.
     """
     x1, x2, x3, x4 = coords
-    length = length_trace(x1, x2)[0]
-    spread = x1 * (x2 + 1.0)
-    lin = spread - 1.0
-    try:
-        disc = (spread + 1.0) ** 2 - 4.0 * x1 * x2
-    except OverflowError:  # core_geodesic's own error
-        raise _discriminant_overflow(x1, x2) from None
-    sq = math.sqrt(disc)
-    if lin > 0.0:
-        p2 = (-lin - sq) / 2.0
-        p1 = -x1 / p2
-    else:
-        p1 = (-lin + sq) / 2.0
-        p2 = -x1 / p1
+    length, _, p1, p2 = _core(x1, x2)
     if type(t) is float and abs(s := t * length) <= MAX_TWIST_LENGTH:  # False for nan too
         if s <= _SHIFT_THRESHOLD:  # _growth's two branches, bit for bit
             moved, fixed = math.exp(s), 1.0
@@ -165,19 +150,22 @@ def _p_form(coords, t):
 
 
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
-    """Twist four positive finite floats by t core lengths; length_trace checks their trace."""
+    """Twist four positive finite floats by t core lengths; _core checks their trace."""
     return tuple.__new__(AnnulusCoords, _p_form(coords, t))
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist by t core lengths, written directly in cosh(L) and e^(+/- L/2)."""
     x1, x2, x3, x4 = coords
-    length = length_trace(x1, x2)[0]
+    length = _core(x1, x2)[0]
     t, moved, fixed = _growth(coords, t, length)
     r = math.sqrt(x1 * x2)
-    half_up = math.exp(length / 2.0)
     half_down = math.exp(-length / 2.0)
-    scale = 2.0 * (x1 * x2 * math.cosh(length) - 2.0 * r * math.cosh(length / 2.0) + x1 + 1.0)
+    try:  # cosh(L) passes the double range once L nears 710
+        half_up = math.exp(length / 2.0)
+        scale = 2.0 * (x1 * x2 * math.cosh(length) - 2.0 * r * math.cosh(length / 2.0) + x1 + 1.0)
+    except OverflowError:
+        raise _out_of_range("a closed-form intermediate overflowed", coords, "t", t) from None
     outer_a = r * half_down - x1 - 1.0
     outer_b = r * half_up - x1 - 1.0
     inner_a = r * half_down - 1.0
@@ -211,7 +199,7 @@ def _fenchel_nielsen(coords: AnnulusCoords, t, name: str):
     Shares with the p-form only _growth and the result check.  With r = sqrt(X1 X2) and
     d = tr - 2 = ((r - 1)^2 + X1)/r: sinh(L/2) = sqrt(d (d + 4))/2, L = 2 asinh(sinh(L/2))
     and tr = 2 + d.  d > 0 keeps its digits where tr - 2 would cancel, so, unlike
-    length_trace, no input is too close to parabolic.  sinh(tau/2) = (1 - X1 (X2 + 1))/(2
+    _core, no input is too close to parabolic.  sinh(tau/2) = (1 - X1 (X2 + 1))/(2
     sqrt(X1)), and X3 r and X4 r are invariant.  With h = (tau + t L)/2 the result has
     X2' = (cosh h / sinh(L/2))^2 and sqrt(X1') = 1/(sinh h + R), R = hypot(sinh h, sqrt(X2' + 1)).
     """

@@ -243,6 +243,7 @@ class TestCoreGeodesic:
         assert p2 == pytest.approx(-1.6180339887, abs=1e-9)
 
     @given(coord_quadruples)
+    @example(AnnulusCoords(0.5, 1.0, 1.0, 1.0))  # X1 (X2 + 1) - 1 = 0, the smaller-root branch
     def test_root_identities(self, coords):
         _, _, p1, p2 = core_geodesic(coords)
         assert rel_err(p1 * p2, -coords.x1) < 1e-10

@@ -21,10 +21,9 @@ from fntwist import cli
 from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
                          sample_flow)
 from fntwist import AnnulusCoords, TwistRangeError, core_geodesic, twist_p_form
-from fntwist.annulus import length_trace
 from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, X2_OUT_OF_RANGE, first_difference,
                   format_csv_reference, format_flow_json_reference, load_benchmark_module,
-                  max_rel, rel_err, svg_points_reference)
+                  max_rel, rel_err, row_length_trace, svg_points_reference)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,15 +47,15 @@ def json_text(coords, t_max, steps, samples) -> str:
 def p_form_flow(coords, t_max, steps):
     """sample_flow's rows, or the (type, message) it raises, one twist_p_form call per row.
 
-    Each row's L and trace are length_trace's, which is core_geodesic(point)[:2] without
-    the discriminant, so the reference refuses nothing that sample_flow serves.
+    Each row's L and trace are row_length_trace's, which is core_geodesic(point)[:2]
+    without the discriminant, so the reference refuses nothing that sample_flow serves.
     """
     rows = []
     for i in range(steps + 1):
         t = i * t_max / steps or 0.0
         try:
             point = twist_p_form(coords, t)
-            rows.append((t, *point, *length_trace(point[0], point[1])))
+            rows.append((t, *point, *row_length_trace(point[0], point[1])))
         except ValueError as exc:
             return type(exc), f"{exc}; flow sample at t = {t!r} from coords {tuple(coords)}"
         except TwistRangeError as exc:
@@ -294,7 +293,7 @@ class TestDehnCommand:
         assert max_rel(output, [float(e) for e in exact]) < 1e-10
 
     def test_near_parabolic_input_exits_zero(self, capsys):
-        # length_trace refuses this trace, 2 + 1e-12, as too close to 2; the translation serves it
+        # core_geodesic refuses this trace, 2 + 1e-12, as too close to 2; the translation serves it
         assert run(["dehn", "--coords", "1e-12,1e12,1,1", "--m", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         reference = load_benchmark_module("reference")

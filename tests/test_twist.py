@@ -25,7 +25,6 @@ from fntwist import (
     twist_oracle,
     twist_p_form,
 )
-from fntwist.annulus import length_trace
 from fntwist.cli import sample_flow
 from fntwist.mobius import MobiusMap
 from fntwist.sampling import Lcg, random_coords
@@ -73,11 +72,6 @@ def moved_vertex_images(coords, t):
     e1, _, e3, _ = endpoints(coords)
     m = stratum_map(coords, t)
     return tuple(m.apply(v) for v in (0.0, e1, e3))
-
-
-# quadruples log-uniform over 300 decades: the axis endpoints on either root branch, far
-# from 1 and near it, and inputs whose trace or discriminant is refused
-log_quadruples = st.builds(AnnulusCoords, *[st.floats(-150.0, 150.0).map(lambda u: 10.0 ** u)] * 4)
 
 
 class TestStratumMap:
@@ -371,8 +365,8 @@ class TestLargeParameters:
         assert type(info.value) is error and str(info.value) == message
 
     def test_discriminant_is_refused_before_the_cap(self):
-        # the input fails both the discriminant and the cap (|t| L = 827): p-form computes
-        # its core before it checks t, so each p-form caller raises the discriminant error
+        # the input fails both the discriminant and the cap (|t| L = 827): p-form and the
+        # closed form compute the core before they check t, so each raises the discriminant error
         coords = (1.0768319880933315e+19, 2.1740272755523496e+166, 2.296780560942456e-21,
                   1.1609945560439939e+254)
         t = -1.9378470167760713
@@ -381,6 +375,7 @@ class TestLargeParameters:
         for call, expected in (
                 (lambda: twist_p_form(AnnulusCoords(*coords), t), message),
                 (lambda: _p_form(coords, t), message),
+                (lambda: twist_closed_form(AnnulusCoords(*coords), t), message),
                 (lambda: apply_local_twist(SurfaceCoords(coords), AnnulusEmbedding(1, 2, 3, 4), t),
                  f"{message}; embedding indices (1, 2, 3, 4)")):
             with pytest.raises(OverflowError) as info:
@@ -408,6 +403,14 @@ class TestLargeParameters:
             twist_closed_form(coords, -19.47954048344156)
         assert f"{coords.as_tuple()}, t = -19.47954048344156" in str(info.value)
 
+    def test_closed_form_overflow_is_a_range_error(self):
+        # L is about 1036, so cosh(L) passes the double range; the error names the input and t
+        coords = AnnulusCoords(1e150, 1e-300, 1, 1)
+        with pytest.raises(TwistRangeError) as info:
+            twist_closed_form(coords, 0.1)
+        assert str(info.value) == ("a closed-form intermediate overflowed for coords "
+                                   "(1e+150, 1e-300, 1.0, 1.0), t = 0.1; result not representable")
+
     @pytest.mark.parametrize("t, shown", [
         (10**400, repr(10**400)), (-10**400, repr(-10**400)),
         (10**5000, "<16610-bit int>"), (-Fraction(10**5000), "-<16610-bit Fraction>"),
@@ -428,7 +431,7 @@ class TestLargeParameters:
     @pytest.mark.parametrize("quadruple", list(PINNED_ACROSS_BRANCH))
     def test_routes_keep_their_bits_across_branch_point(self, quadruple):
         coords = AnnulusCoords(*quadruple)
-        length = length_trace(coords[0], coords[1])[0]
+        length = core_geodesic(coords)[0]
         for s, pinned in PINNED_ACROSS_BRANCH[quadruple].items():
             for route, expected in zip((twist_p_form, twist_closed_form, twist_oracle), pinned):
                 assert route(coords, s / length).as_tuple() == expected, (route.__name__, s)
@@ -555,36 +558,6 @@ class TestKernelBits:
                                                                  IntSubclass(m)), m
 
 
-    @given(st.one_of(coord_quadruples, log_quadruples))
-    @example(AnnulusCoords(0.5, 1.0, 1.0, 1.0))  # X1 (X2 + 1) - 1 = 0, the smaller-root branch
-    @example(AnnulusCoords(1e200, 1.0, 1.0, 1.0))  # the discriminant overflows
-    def test_p_form_takes_core_geodesics_axis_endpoints(self, coords):
-        # _p_form repeats core_geodesic's root-finding in its own body, so that a point costs
-        # no call for it: its p1, p2, read from its frame as it returns, or its trace or
-        # discriminant error must be core_geodesic's, bit for bit and word for word
-        try:
-            expected = core_geodesic(coords)[2:]
-        except (ValueError, OverflowError) as exc:
-            expected = type(exc), str(exc)
-        seen = []
-
-        def profile(frame, event, arg):
-            if event == "return" and frame.f_code is _p_form.__code__ and "p2" in frame.f_locals:
-                seen.append((frame.f_locals["p1"], frame.f_locals["p2"]))
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            _p_form(coords, 0.0)
-        except TwistRangeError:  # the flow's own refusals come after p1 and p2
-            pass
-        except (ValueError, OverflowError) as exc:
-            seen.append((type(exc), str(exc)))
-        finally:
-            sys.setprofile(previous)
-        assert seen == [expected]
-
-
 def outcome(kernel, coords, value):
     """kernel(coords, value) as the hex of its four values, or its error's type and text."""
     try:
@@ -676,12 +649,12 @@ class TestOracle:
             twist_oracle(UNIT, too_far)
 
     def test_parabolic_limit_round_trips(self):
-        # length_trace rejects this input as not hyperbolic; the oracle keeps the digits of tr - 2
+        # core_geodesic rejects this input as not hyperbolic; the oracle keeps the digits of tr - 2
         coords = AnnulusCoords(1e-12, 1e12, 1, 1)
         assert max_rel(twist_oracle(coords, 0.0), coords) < 1e-15
 
     def test_subnormal_product_matches_mpmath_reference(self):
-        # length_trace rejects X1 X2 = 1e-310; at d = 1e155 only sqrt(d) sqrt(d + 4) stays finite
+        # core_geodesic rejects X1 X2 = 1e-310; at d = 1e155 only sqrt(d) sqrt(d + 4) stays finite
         coords = (1e-200, 1e-110, 1.0, 1.0)
         exact = load_benchmark_module("reference").twist_reference(coords, 0.1)
         assert max_rel(twist_oracle(AnnulusCoords(*coords), 0.1), [float(v) for v in exact]) < 1e-12
@@ -801,7 +774,7 @@ class TestDehnTwist:
         rng, checked = Lcg(m), 0
         while checked < 12:
             coords = random_coords(rng)
-            if abs(m) * length_trace(coords.x1, coords.x2)[0] > 300.0:
+            if abs(m) * core_geodesic(coords)[0] > 300.0:
                 continue
             exact = reference.dehn_exact(coords, m)
             result = dehn_twist(coords, m)
@@ -895,12 +868,11 @@ class TestTraceCheck:
     @given(near_margin_pairs, st.floats(-5.0, 5.0))
     @example(NEAR_MARGIN[:2], 1.0)
     def test_accepted_input_is_never_rejected_by_its_result(self, pair, t):
-        x1, x2 = pair
+        coords = AnnulusCoords(*pair, 1, 1)
         try:
-            length_trace(x1, x2)
+            core_geodesic(coords)
         except ValueError:
             return  # rejected where L is first computed, before any kernel runs
-        coords = AnnulusCoords(x1, x2, 1, 1)
         twist_p_form(coords, t)
         twist_closed_form(coords, t)
         for m in (1, -1, 2, -2):
@@ -920,20 +892,20 @@ class TestTraceCheck:
     ], ids=["p-form", "closed-form", "oracle", "dehn", "local-twist", "cli-twist", "cli-dehn"])
     def test_trace_is_checked_once_per_call(self, monkeypatch, capsys, call, checks):
         # the margin is infinite except inside the counting wrapper, so a trace
-        # check made anywhere but in length_trace rejects every input
-        calls, margin = [], fntwist.annulus.HYPERBOLICITY_MARGIN
+        # check made anywhere but in the core geodesic's one body rejects every input
+        calls, margin, core = [], fntwist.annulus.HYPERBOLICITY_MARGIN, fntwist.annulus._core
 
         def counted(x1, x2):
             calls.append((x1, x2))
             fntwist.annulus.HYPERBOLICITY_MARGIN = margin
             try:
-                return length_trace(x1, x2)
+                return core(x1, x2)
             finally:
                 fntwist.annulus.HYPERBOLICITY_MARGIN = math.inf
 
         monkeypatch.setattr(fntwist.annulus, "HYPERBOLICITY_MARGIN", math.inf)
         for module in (fntwist.annulus, fntwist.twist, fntwist.cli):
-            monkeypatch.setattr(module, "length_trace", counted)
+            monkeypatch.setattr(module, "_core", counted)
         assert call()
         assert calls == [(2.0, 0.5)] * checks  # always the input's X1, X2, never the result's
 
@@ -945,7 +917,8 @@ NEAR_PARABOLIC = [
     (1e-13, 10001000000000.0, 0.5), (1e-13, 10001000000000.0, 400.0),
     (1e-12, 1010000000000.0, 400.0), (1e-13, 10100000000000.0, 400.0),
 ]
-# X1 of (X1, 1, 1, 1) whose core geodesic discriminant overflows in p-form, at t = 0.1
+# X1 of (X1, 1, 1, 1) whose core geodesic discriminant overflows in p-form and the closed
+# form, at t = 0.1
 DISCRIMINANT_OVERFLOW = [1e200, 1e160]
 # p-form's y2 = x2 * edge2_gap * edge2_gap / (axis_sq * ...): at (1, 1e103, 1, 1) and t = 0
 # the product is 1e309 before axis_sq = (p1 - p2)^2 = 1e206 divides it back to 1e103.  The
@@ -974,7 +947,7 @@ class TestDocumentedDomain:
             if not err <= 1e-12:
                 far.append(("oracle", coords, t, err))
             # nearer the parabolic limit, rounding of the trace dominates p-form's L (the xfails)
-            if length_trace(coords[0], coords[1])[1] - 2.0 >= 1e-2:
+            if core_geodesic(AnnulusCoords(*coords))[1] - 2.0 >= 1e-2:
                 err = max_rel(result, exact)
                 if not err <= 1e-10:
                     far.append(("p-form", coords, t, err))
@@ -1044,6 +1017,14 @@ class TestDoubleRange:
         coords = (x1, 1.0, 1.0, 1.0)
         exact = load_benchmark_module("reference").twist_reference(coords, 0.1)
         assert max_rel(twist_p_form(AnnulusCoords(*coords), 0.1), [float(v) for v in exact]) < 1e-10
+
+    @pytest.mark.parametrize("twist", [twist_p_form, twist_closed_form])
+    @pytest.mark.parametrize("x1", DISCRIMINANT_OVERFLOW)
+    def test_discriminant_overflow_is_refused(self, x1, twist):
+        with pytest.raises(OverflowError) as info:
+            twist(AnnulusCoords(x1, 1.0, 1.0, 1.0), 0.1)
+        assert type(info.value) is OverflowError
+        assert str(info.value) == f"core geodesic discriminant overflows for X1 = {x1!r}, X2 = 1.0"
 
     @pytest.mark.xfail(strict=True, reason="p-form's x2 * edge2_gap * edge2_gap overflows")
     @pytest.mark.parametrize("coords, t", LARGE_X2)

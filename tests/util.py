@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 from fntwist import AnnulusCoords, core_geodesic
+from fntwist.annulus import _core
 from fntwist.mobius import MobiusMap, cross_ratio
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -96,6 +97,19 @@ def format_csv_reference(samples) -> str:
     for s in samples:
         lines.append(",".join(f"{v:.17g}" for v in s))
     return "\n".join(lines) + "\n"
+
+
+def row_length_trace(x1: float, x2: float):
+    """(L, |trace|) of a flow row's X1, X2: _core's, or its errors, without the discriminant.
+
+    A row takes no axis endpoints, so sample_flow serves a point whose discriminant
+    overflows; its L and trace are then the trace check's arithmetic, which comes first.
+    """
+    try:
+        return _core(x1, x2)[:2]
+    except OverflowError:  # the discriminant, checked after the trace
+        tr = (x1 * (x2 + 1.0) + 1.0) / math.sqrt(x1 * x2)
+        return 2.0 * math.acosh(tr / 2.0), tr
 
 
 def format_flow_json_reference(coords, t_max, steps, samples) -> str:
