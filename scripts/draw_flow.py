@@ -16,7 +16,8 @@ import os
 import sys
 
 from fntwist import AnnulusCoords, core_geodesic
-from fntwist.cli import format_csv, parse_projection, render_svg, sample_flow
+from fntwist.cli import format_csv, parse_projection, render_svg
+from fntwist.twist import sample_flow
 
 STARTS = [
     (1.0, 1.0, 1.0, 1.0),

@@ -6,14 +6,16 @@ Each argument is a directory holding an `fntwist` package (a checkout's
 `src/`).  Both packages are loaded into this one interpreter under their
 own names, so the two sides share one allocator and run close together in time.
 
-Parity comes first.  twist_p_form, twist_closed_form, twist_oracle, dehn_twist
-and apply_local_twist of both trees run on the same seeded draws: WIDE quadruples
-whose coordinates are 10^u with u uniform in +/-w, w from 1 to 300, and BAND
-quadruples with 0.5 < sqrt(X1 X2) < 1.5, where the translation forms X1 X2 - 1
-exactly.  t and m run to the |t L| cap and past it.  Every case whose bits,
-error type or error text differ is counted, grouped by kind (kernel and the
-two outcomes, an error given by its type and its text before " for "), and
-up to three of each kind are printed; any difference makes the exit status 1.
+Parity comes first.  twist_p_form, twist_closed_form, twist_oracle, dehn_twist,
+apply_local_twist and the flow sampler (a FLOW_STEPS-step sample_flow to t, taken
+from each tree's cli module, which fntwist flow runs) of both trees run on the
+same seeded draws: WIDE quadruples whose coordinates are 10^u with u uniform in
++/-w, w from 1 to 300, and BAND quadruples with 0.5 < sqrt(X1 X2) < 1.5, where
+the translation forms X1 X2 - 1 exactly.  t and m run to the |t L| cap and past
+it.  Every case whose bits, error type or error text differ is counted, grouped
+by kind (kernel and the two outcomes, an error given by its type and its text
+before " for "), and up to three of each kind are printed; any difference makes
+the exit status 1.
 
 Timing follows.  For each kernel, the per-call minimum over all alternations
 on a fixed set of in-domain draws; and for apply_local_twist, for each vector
@@ -42,10 +44,11 @@ WIDTHS = (1, 3, 10, 30, 100, 300)  # decades either side of 1 for the wide-range
 WIDE, BAND = 20_000, 20_000  # parity draws of each sort
 TIMED = 2_000  # in-domain draws per kernel for the per-call rows
 SHOWN = 3  # printed cases per kind of difference
+FLOW_STEPS = 8  # intervals of each parity flow, so 9 rows of 7 values
 
 
 def load(src: str, name: str):
-    """The fntwist package under `src`, imported as the top-level module `name`."""
+    """The fntwist package under `src`, imported as the top-level module `name`, with its cli."""
     root = Path(src).resolve() / "fntwist"
     spec = importlib.util.spec_from_file_location(
         name, root / "__init__.py", submodule_search_locations=[str(root)]
@@ -53,6 +56,7 @@ def load(src: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")  # binds module.cli
     return module
 
 
@@ -98,6 +102,11 @@ def outcome(call, *args):
     return "result", tuple(float(v).hex() for v in values)
 
 
+def flow_values(pkg, coords, t):
+    """The values of a FLOW_STEPS-step flow from coords to t, row after row."""
+    return [v for row in pkg.cli.sample_flow(coords, t, FLOW_STEPS) for v in row]
+
+
 def kernel_outcomes(pkg, quad, t, m):
     """{kernel: outcome} for one case; the local twist puts the quadruple at entries 2, 5, 1, 3."""
     coords = pkg.AnnulusCoords(*quad)
@@ -109,6 +118,7 @@ def kernel_outcomes(pkg, quad, t, m):
         "twist_oracle": outcome(pkg.twist_oracle, coords, t),
         "dehn_twist": outcome(pkg.dehn_twist, coords, m),
         "apply_local_twist": outcome(pkg.apply_local_twist, vector, embedding, t),
+        "sample_flow": outcome(flow_values, pkg, coords, t),
     }
 
 
@@ -129,7 +139,7 @@ def parity(sides, seed: int) -> int:
             if was != now:
                 kinds[kernel, describe(was), describe(now)].append((draw, quad, t, m, was, now))
     total = sum(len(found) for found in kinds.values())
-    print(f"parity: {len(cases)} cases ({WIDE} wide-range, {BAND} band) x 5 kernels, "
+    print(f"parity: {len(cases)} cases ({WIDE} wide-range, {BAND} band) x {len(base)} kernels, "
           f"{total} differ")
     for (kernel, was, now), found in sorted(kinds.items(), key=lambda item: -len(item[1])):
         print(f"  {len(found):>6}  {kernel}: {was}  ->  {now}")

@@ -5,8 +5,8 @@ Subcommands:
 * ``twist``   one twisted quadruple plus the core length and trace, by the
               Fenchel-Nielsen translation
 * ``dehn``    the same report at integer t, the m-fold Dehn twist
-* ``flow``    uniform samples of the flow by the p-form, emitted as CSV/JSON
-              and optionally an SVG polyline of a 2D projection
+* ``flow``    uniform samples of the flow by the p-form (twist.sample_flow),
+              emitted as CSV/JSON and optionally an SVG polyline of a 2D projection
 * ``verify``  seeded randomized equivalence and invariance suites
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
@@ -22,11 +22,10 @@ import contextlib
 import math
 import sys
 
-from .annulus import (_MIN_NORMAL, HYPERBOLICITY_MARGIN, AnnulusCoords, _core, core_geodesic,
-                      coords_from_endpoints, endpoints)
+from .annulus import AnnulusCoords, _core, coords_from_endpoints, endpoints
 from .sampling import Lcg, random_coords
-from .twist import (_SHIFT_THRESHOLD, MAX_TWIST_LENGTH, _fenchel_nielsen, _growth, _p_form,
-                    dehn_twist, twist_closed_form, twist_oracle, twist_p_form)
+from .twist import (_fenchel_nielsen, dehn_twist, sample_flow, twist_closed_form, twist_oracle,
+                    twist_p_form)
 
 # a flow sample is a tuple of these seven values, in this order
 CSV_HEADER = "t,X1,X2,X3,X4,L,trace"
@@ -130,68 +129,6 @@ def cmd_dehn(args) -> int:
 
 
 # ----------------------------------------------------------------------- flow
-
-def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
-    """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t from 0.0 to t_max.
-
-    Each row is t, twist_p_form(coords, t) and the L and trace that _core gives for its
-    X1', X2', bit for bit; a row takes no axis endpoints, so it needs no discriminant.
-    core_geodesic and p-form's other t-independent terms are computed once: a row costs
-    one exp, a dozen products and its own L and trace, so the rows exhibit, rather than
-    assume, their invariance.  A failing row hands off to _p_form, p-form's kernel, or to
-    _core, whose trace check then fails first; each raises its own error.  A span whose
-    end is past the |t| L cap or not finite, or steps < 1, raises before any sample.  A
-    sample's ValueError gets its t and the input coords appended.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps!r}")
-    length, _, p1, p2 = core_geodesic(coords)
-    t_max = _growth(coords, t_max, length)[0]
-    # _p_form's terms that do not depend on t, in its order of operations
-    x1, x2, x3, x4 = coords
-    axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1
-    near, neg = x1 + p1, x1 + p2
-    if not -neg >= -1e-3 * p2:
-        neg = -(x1 * x1 * x2 / near)
-    x1_axis_sq = x1 * axis_sq
-    exp, sqrt, acosh, inf = math.exp, math.sqrt, math.acosh, math.inf
-    cap, shift, tiny = MAX_TWIST_LENGTH, _SHIFT_THRESHOLD, _MIN_NORMAL
-    lowest = 2.0 + HYPERBOLICITY_MARGIN
-    samples = []
-    append = samples.append
-    try:
-        for i in range(steps + 1):
-            t = i * t_max / steps or 0.0  # 0.0, not -0.0, at a negative span's start
-            s = t * length
-            # one of _growth's scale pair is 1.0, e the other: a product by 1.0 drops out exactly
-            if s <= shift:
-                e = exp(s)
-                axis_gap, edge2_gap = near * e - neg, p1 * e - p2
-            else:
-                e = exp(-s)
-                axis_gap, edge2_gap = near - neg * e, p1 - p2 * e
-            top1, bottom1 = x1_axis_sq * e, axis_gap * axis_gap
-            top2, bottom2 = x2 * edge2_gap * edge2_gap, axis_sq * e
-            if (-cap <= s <= cap and bottom1 >= tiny and top1 >= tiny and top2 >= tiny
-                    and bottom2 >= tiny):
-                y1, y2 = top1 / bottom1, top2 / bottom2
-                ratio = axis_gap / edge2_gap
-                y3, y4 = x3 * ratio, x4 * ratio
-                if not (tiny <= y1 < inf and tiny <= y2 < inf and tiny <= y3 < inf
-                        and tiny <= y4 < inf):
-                    y1, y2, y3, y4 = _p_form(coords, t)  # raises the range error
-            else:
-                y1, y2, y3, y4 = _p_form(coords, t)  # raises the guard's error
-            # _core's trace arithmetic and tests
-            product = y1 * y2
-            if product >= tiny and lowest < (tr := (y1 * (y2 + 1.0) + 1.0) / sqrt(product)) < inf:
-                append((t, y1, y2, y3, y4, 2.0 * acosh(tr / 2.0), tr))
-            else:
-                append((t, y1, y2, y3, y4, *_core(y1, y2)[:2]))  # raises its ValueError
-    except ValueError as exc:  # a sample's own X1, X2 failed the trace check
-        raise type(exc)(f"{exc}; flow sample at t = {t!r} from coords {tuple(coords)}") from None
-    return samples
-
 
 def _write_rows(out, head, tail, samples, sep=""):
     """Write each sample as head % (t, X1..X4) + tail % (L, trace), rows joined by sep.

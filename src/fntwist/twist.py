@@ -6,9 +6,7 @@ Three independent routes compute the twisted quadruple:
   axis endpoints p1, p2 taken from the quadratic route.  Its kernel _p_form
   takes L, p1, p2 from annulus._core, the core geodesic's one body, runs the
   flow in its own, and returns a plain 4-tuple: twist_p_form wraps it as
-  AnnulusCoords, a local twist uses it as it is, and fntwist flow computes
-  its t-independent terms once per trajectory, so a row costs one exp and a
-  dozen products and equals twist_p_form bit for bit;
+  AnnulusCoords, and a local twist uses it as it is;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
 * twist_oracle, the Fenchel-Nielsen translation tau -> tau + t L of the
@@ -16,6 +14,10 @@ Three independent routes compute the twisted quadruple:
   p-form; fntwist twist runs it.  Its kernel _fenchel_nielsen also runs a
   point in one body and returns L and the trace with the result, which
   fntwist twist and dehn report.  stratum_map gives the moving side's map.
+
+sample_flow, which fntwist flow runs, computes p-form's t-independent terms
+and calls _growth once per trajectory: a row costs one exp and a dozen products,
+equals twist_p_form bit for bit, and if a test fails goes to _p_form, then _core.
 
 Frames per call: twist_p_form 3 (itself, _p_form, _core), a local twist's
 kernel 2 (_p_form, _core), twist_oracle and dehn_twist 2
@@ -40,7 +42,8 @@ from __future__ import annotations
 
 import math
 
-from .annulus import _MIN_NORMAL, AnnulusCoords, _core, _number_text, core_geodesic
+from .annulus import (_MIN_NORMAL, HYPERBOLICITY_MARGIN, AnnulusCoords, _core, _number_text,
+                      core_geodesic)
 from .mobius import MobiusMap
 
 # Beyond this |t| * L the twisted quadruple itself leaves double range
@@ -102,6 +105,8 @@ def _checked(values, coords: AnnulusCoords, name: str, value) -> AnnulusCoords:
     y1, y2, y3, y4 = values  # chained comparisons: False for subnormals, 0, inf and nan alike
     if not (_MIN_NORMAL <= y1 < _INF and _MIN_NORMAL <= y2 < _INF
             and _MIN_NORMAL <= y3 < _INF and _MIN_NORMAL <= y4 < _INF):
+        if y1 != y1 or y2 != y2 or y3 != y3 or y4 != y4:  # nan: inf / inf or inf * 0 upstream
+            raise _out_of_range("an intermediate overflowed", coords, name, value)
         raise _out_of_range(f"twisted coordinates {values} left the normal positive finite range",
                             coords, name, value)
     return tuple.__new__(AnnulusCoords, values)
@@ -152,6 +157,64 @@ def _p_form(coords, t):
 def twist_p_form(coords: AnnulusCoords, t) -> AnnulusCoords:
     """Twist four positive finite floats by t core lengths; _core checks their trace."""
     return tuple.__new__(AnnulusCoords, _p_form(coords, t))
+
+
+def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
+    """steps + 1 samples (t, X1, X2, X3, X4, L, trace) at uniform t from 0.0 to t_max.
+
+    Each row is t, twist_p_form(coords, t) and the L and trace that _core gives for its
+    X1', X2', bit for bit; a row takes no axis endpoints, so it needs no discriminant.
+    core_geodesic and p-form's other t-independent terms are computed once: a row costs
+    one exp, a dozen products and its own L and trace, so the rows exhibit, rather than
+    assume, their invariance.  A row that fails any test goes to _p_form, then _core,
+    which raise its error in their order: cap and guards, result range, trace.  A span
+    whose end is past the |t| L cap or not finite, or steps < 1, raises before any
+    sample.  A sample's ValueError gets its t and the input coords appended.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps!r}")
+    length, _, p1, p2 = core_geodesic(coords)
+    t_max = _growth(coords, t_max, length)[0]
+    # _p_form's terms that do not depend on t, in its order of operations
+    x1, x2, x3, x4 = coords
+    axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1
+    near, neg = x1 + p1, x1 + p2
+    if not -neg >= -1e-3 * p2:
+        neg = -(x1 * x1 * x2 / near)
+    x1_axis_sq = x1 * axis_sq
+    exp, sqrt, acosh, inf = math.exp, math.sqrt, math.acosh, math.inf
+    cap, shift, tiny = MAX_TWIST_LENGTH, _SHIFT_THRESHOLD, _MIN_NORMAL
+    lowest = 2.0 + HYPERBOLICITY_MARGIN
+    samples = []
+    append = samples.append
+    try:
+        for i in range(steps + 1):
+            t = i * t_max / steps or 0.0  # 0.0, not -0.0, at a negative span's start
+            s = t * length
+            # one of _growth's scale pair is 1.0, e the other: a product by 1.0 drops out exactly
+            if s <= shift:
+                e = exp(s)
+                axis_gap, edge2_gap = near * e - neg, p1 * e - p2
+            else:
+                e = exp(-s)
+                axis_gap, edge2_gap = near - neg * e, p1 - p2 * e
+            top1, bottom1 = x1_axis_sq * e, axis_gap * axis_gap
+            top2, bottom2 = x2 * edge2_gap * edge2_gap, axis_sq * e
+            # _p_form's cap and guards, its result range, then _core's trace arithmetic and tests
+            if (-cap <= s <= cap and bottom1 >= tiny and top1 >= tiny and top2 >= tiny
+                    and bottom2 >= tiny and tiny <= (y1 := top1 / bottom1) < inf
+                    and tiny <= (y2 := top2 / bottom2) < inf
+                    and tiny <= (y3 := x3 * (ratio := axis_gap / edge2_gap)) < inf
+                    and tiny <= (y4 := x4 * ratio) < inf
+                    and (product := y1 * y2) >= tiny
+                    and lowest < (tr := (y1 * (y2 + 1.0) + 1.0) / sqrt(product)) < inf):
+                append((t, y1, y2, y3, y4, 2.0 * acosh(tr / 2.0), tr))
+            else:  # a test failed: _p_form, then _core, raise the row's own error
+                y1, y2, y3, y4 = _p_form(coords, t)
+                append((t, y1, y2, y3, y4, *_core(y1, y2)[:2]))
+    except ValueError as exc:  # a sample's own X1, X2 failed the trace check
+        raise type(exc)(f"{exc}; flow sample at t = {t!r} from coords {tuple(coords)}") from None
+    return samples
 
 
 def twist_closed_form(coords: AnnulusCoords, t) -> AnnulusCoords:

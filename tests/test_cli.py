@@ -704,7 +704,8 @@ class TestTwistAbScript:
             result = fntwist.twist_oracle(coords, t)
             return AnnulusCoords(*[math.nextafter(x, math.inf) for x in result])
 
-        change = types.SimpleNamespace(**{name: getattr(fntwist, name) for name in fntwist.__all__})
+        change = types.SimpleNamespace(**{name: getattr(fntwist, name) for name in fntwist.__all__},
+                                       cli=fntwist.cli)
         change.twist_oracle = nudged
         differ = script.parity((fntwist, change), 1)
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -25,10 +26,9 @@ from fntwist import (
     twist_oracle,
     twist_p_form,
 )
-from fntwist.cli import sample_flow
 from fntwist.mobius import MobiusMap
 from fntwist.sampling import Lcg, random_coords
-from fntwist.twist import _fenchel_nielsen, _p_form, stratum_map
+from fntwist.twist import _fenchel_nielsen, _p_form, sample_flow, stratum_map
 from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, X2_OUT_OF_RANGE, FloatSubclass, IntSubclass,
                   holonomy_f2, load_benchmark_module, max_rel, rel_err)
 
@@ -558,6 +558,15 @@ class TestKernelBits:
                                                                  IntSubclass(m)), m
 
 
+class TestPFormHome:
+    def test_cli_binds_no_p_form_internals(self):
+        # p-form's rules live in twist.py alone: the flow command takes sample_flow from there
+        internals = ("_p_form", "_growth", "_SHIFT_THRESHOLD", "MAX_TWIST_LENGTH", "_MIN_NORMAL",
+                     "HYPERBOLICITY_MARGIN")
+        assert [name for name in internals if hasattr(fntwist.cli, name)] == []
+        assert fntwist.cli.sample_flow is fntwist.twist.sample_flow
+
+
 def outcome(kernel, coords, value):
     """kernel(coords, value) as the hex of its four values, or its error's type and text."""
     try:
@@ -699,7 +708,8 @@ class TestOracle:
     def test_no_refusal_reports_nan(self):
         # seeded wide-range draws: each coordinate 10^u with u uniform in +/-w, w up to 300,
         # and |t L| and |m L| uniform to 700, past the cap.  Every refusal is typed (a
-        # ZeroDivisionError would escape) and names no nan
+        # ZeroDivisionError would escape) and names no nan, by the translation, p-form or
+        # the closed form; "discriminant" holds the letters, so nan is matched as a word
         rng, refused = random.Random(3232), []
         for i in range(4000):
             width = (1.0, 10.0, 100.0, 300.0)[i % 4]
@@ -715,8 +725,14 @@ class TestOracle:
                     twist(coords, value)
                 except TwistRangeError as exc:
                     refused.append(str(exc))
-        assert [text for text in refused if "nan" in text] == []
+            for twist in (twist_p_form, twist_closed_form):
+                try:
+                    twist(coords, t)
+                except (ValueError, ArithmeticError) as exc:
+                    refused.append(str(exc))
+        assert [text for text in refused if re.search(r"\bnan\b", text)] == []
         assert sum(text.startswith("twisted coordinate X2'") for text in refused) > 100
+        assert sum(text.startswith("an intermediate overflowed") for text in refused) > 50
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):
@@ -929,6 +945,10 @@ LARGE_X2 = [
     # mpmath gives (1.2676518658578455, 7.888601176185544e102, 1, 1) here
     ((1.0, 1e103, 1.0, 1.0), 0.001),
 ]
+# p-form's top1 = x1 * axis_sq * moved * fixed: at (1e150, 1e-300, 1, 1) axis_sq = (p1 - p2)^2
+# is 1e300, so x1 * axis_sq is 1e450 though mpmath gives X1' = 1e150 at t = 0 and
+# 1.0000000000000057e195 at t = -0.1
+LARGE_X1_AXIS = [((1e150, 1e-300, 1.0, 1.0), 0.0), ((1e150, 1e-300, 1.0, 1.0), -0.1)]
 
 
 class TestDocumentedDomain:
@@ -1032,9 +1052,16 @@ class TestDoubleRange:
         exact = load_benchmark_module("reference").twist_reference(coords, t)
         assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
 
+    @pytest.mark.xfail(strict=True, reason="p-form's x1 * axis_sq overflows")
+    @pytest.mark.parametrize("coords, t", LARGE_X1_AXIS)
+    def test_p_form_large_x1_axis_matches_mpmath_reference(self, coords, t):
+        exact = load_benchmark_module("reference").twist_reference(coords, t)
+        assert max_rel(twist_p_form(AnnulusCoords(*coords), t), [float(v) for v in exact]) < 1e-10
+
     def test_oracle_matches_mpmath_reference_where_p_form_xfails(self):
         reference = load_benchmark_module("reference")
-        cases = [((x1, 1.0, 1.0, 1.0), 0.1) for x1 in DISCRIMINANT_OVERFLOW] + LARGE_X2
+        # the oracle is within 1.2e-14 and 5.0e-14 on LARGE_X1_AXIS
+        cases = [((x1, 1.0, 1.0, 1.0), 0.1) for x1 in DISCRIMINANT_OVERFLOW] + LARGE_X2 + LARGE_X1_AXIS
         for x1, x2, s in NEAR_PARABOLIC:
             cases.append(((x1, x2, 1.0, 1.0), s / reference.core_length((x1, x2, 1.0, 1.0))))
         for coords, t in cases:
