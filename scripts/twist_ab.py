@@ -14,8 +14,8 @@ same seeded draws: WIDE quadruples whose coordinates are 10^u with u uniform in
 the translation forms X1 X2 - 1 exactly.  t and m run to the |t L| cap and past
 it.  Every case whose bits, error type or error text differ is counted, grouped
 by kind (kernel and the two outcomes, an error given by its type and its text
-before " for "), and up to three of each kind are printed; any difference makes
-the exit status 1.
+before " for ", with each number and parenthesised tuple there masked), and up
+to three of each kind are printed; any difference makes the exit status 1.
 
 Timing follows.  For each kernel, the per-call minimum over all alternations
 on a fixed set of in-domain draws; and for apply_local_twist, for each vector
@@ -32,6 +32,7 @@ import gc
 import importlib.util
 import math
 import random
+import re
 import sys
 import time
 from collections import defaultdict
@@ -45,6 +46,10 @@ WIDE, BAND = 20_000, 20_000  # parity draws of each sort
 TIMED = 2_000  # in-domain draws per kernel for the per-call rows
 SHOWN = 3  # printed cases per kind of difference
 FLOW_STEPS = 8  # intervals of each parity flow, so 9 rows of 7 values
+# what describe masks: a parenthesised tuple (one holding a comma), and a number, nan or
+# inf with its sign that no letter, digit or point precedes (so "X1 * X2" stays)
+VALUES = re.compile(r"\([^()]*,[^()]*\)"
+                    r"|(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan\b|inf\b)")
 
 
 def load(src: str, name: str):
@@ -123,9 +128,9 @@ def kernel_outcomes(pkg, quad, t, m):
 
 
 def describe(result) -> str:
-    """An outcome's kind: "result", or the error type and its text before " for "."""
+    """An outcome's kind: "result", or the error type and its text before " for ", values masked."""
     kind, detail = result
-    return kind if kind == "result" else f"{kind}: {detail.split(' for ')[0]}"
+    return kind if kind == "result" else f"{kind}: {VALUES.sub('#', detail.split(' for ')[0])}"
 
 
 def parity(sides, seed: int) -> int:

@@ -93,7 +93,8 @@ def _core(x1: float, x2: float):
     """(L, |trace|, p1, p2) from X1, X2: the core geodesic's one body, checks and messages.
 
     ValueError naming X1, X2 if X1 * X2 is below _MIN_NORMAL (the trace would lose digits),
-    or if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite; then OverflowError
+    or if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite (naming X1 * X2 where
+    that product passes the double range and the trace is nan); then OverflowError
     naming them if the discriminant passes the double range.  The axis endpoints p1 > 0 > p2
     are the roots of p^2 + (X1(X2+1) - 1) p - X1, taken larger-magnitude root first and the
     companion via the product of roots -X1, so no cancellation occurs.
@@ -107,6 +108,9 @@ def _core(x1: float, x2: float):
     if not 2.0 + HYPERBOLICITY_MARGIN < tr < math.inf:  # one test when valid; fires for nan too
         if tr <= 2.0 + HYPERBOLICITY_MARGIN:
             raise ValueError(f"holonomy is not hyperbolic: |trace| = {tr} is too close to 2 "
+                             f"for X1 = {x1!r}, X2 = {x2!r}")
+        if product == math.inf:  # so is X1 * (X2 + 1), and the trace is inf / inf = nan
+            raise ValueError(f"holonomy trace is out of range: X1 * X2 passes the double range "
                              f"for X1 = {x1!r}, X2 = {x2!r}")
         raise ValueError(f"holonomy trace is out of range: |trace| = {tr} is not finite "
                          f"for X1 = {x1!r}, X2 = {x2!r}")

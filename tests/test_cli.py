@@ -20,7 +20,9 @@ import fntwist
 from fntwist import cli
 from fntwist.cli import (format_csv, format_flow_json, main, parse_projection, render_svg,
                          sample_flow)
-from fntwist import AnnulusCoords, TwistRangeError, core_geodesic, twist_p_form
+from fntwist import (AnnulusCoords, Lcg, TwistRangeError, coords_from_endpoints, core_geodesic,
+                     dehn_twist, endpoints, random_coords, twist_closed_form, twist_oracle,
+                     twist_p_form)
 from util import (L_OUT_OF_RANGE, TAU_OUT_OF_RANGE, X2_OUT_OF_RANGE, first_difference,
                   format_csv_reference, format_flow_json_reference, load_benchmark_module,
                   max_rel, rel_err, row_length_trace, svg_points_reference)
@@ -142,6 +144,11 @@ class TestTwistCommand:
          "(1e-300, 1e-05, 1.0, 1.0), t = 0.05; result not representable"),
         (["flow", "--coords", "1e160,1,1,1", "--t", "0.1", "--steps", "2"],
          "core geodesic discriminant overflows for X1 = 1e+160, X2 = 1.0"),
+        # X1 * X2 and X1 * (X2 + 1) both overflow, so the trace is inf / inf: the product is
+        # named, never "|trace| = nan"
+        (["flow", "--coords", "1e200,1e200,1,1", "--t", "1", "--steps", "2"],
+         "holonomy trace is out of range: X1 * X2 passes the double range "
+         "for X1 = 1e+200, X2 = 1e+200"),
         (["dehn", "--coords", "1e200,1e200,1,1", "--m", "0"], TAU_OUT_OF_RANGE.format(
             "1e+200", "1e+200")),
         (["dehn", "--coords", "1e300,1e10,1,1", "--m", "0"], TAU_OUT_OF_RANGE.format(
@@ -173,6 +180,7 @@ class TestTwistCommand:
          "for X1 = 1.0768319880933315e+19, X2 = 2.1740272755523496e+166"),
     ], ids=["nan-trace", "nan-trace-overflowed-product", "inf-trace", "underflowed-denominator",
             "subnormal-product", "twist-discriminant", "subnormal-result", "flow-discriminant",
+            "flow-overflowed-product",
             "dehn-nan-trace", "dehn-nan-trace-overflowed-product", "dehn-inf-trace",
             "inf-length", "dehn-inf-length", "inf-length-csv", "x2-overflow-division",
             "dehn-x2-overflow-division", "x2-overflow-nan", "flow-discriminant-past-cap"])
@@ -713,6 +721,23 @@ class TestTwistAbScript:
         assert differ == served > 0
         assert out.count("base:   ") == out.count("change: ") == 3
 
+    def test_refusals_that_differ_only_in_values_share_a_kind(self, monkeypatch):
+        # the cap, p-form's result range and the trace margin, each refused at two inputs
+        # whose messages carry different numbers or tuples before " for "
+        script = self.load(monkeypatch)
+        pairs = [[script.outcome(twist, AnnulusCoords(*coords), t) for coords, t in cases]
+                 for twist, cases in [
+                     (fntwist.twist_oracle, [((1, 1, 1, 1), 400.0), ((1, 1, 1, 1), -500.0)]),
+                     (twist_p_form, [((1e-300, 1e-5, 1, 1), 0.05), ((2e-300, 1e-5, 1, 1), 0.05)]),
+                     (twist_p_form, [((1e-12, 1e12, 1, 1), 0.1), ((1e-13, 1e13, 1, 1), 0.1)])]]
+        for first, second in pairs:
+            assert first[1].split(" for ")[0] != second[1].split(" for ")[0]
+            assert script.describe(first) == script.describe(second)
+        assert [script.describe(first) for first, _ in pairs] == [
+            "TwistRangeError: |t| * L = # exceeds #",
+            "TwistRangeError: twisted coordinates # left the normal positive finite range",
+            "ValueError: holonomy is not hyperbolic: |trace| = # is too close to #"]
+
 
 class TestProjectionParsing:
     def test_log_pair(self):
@@ -829,6 +854,66 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         assert run(["verify", "--samples", "60", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
+
+
+def _oracle_sample(rng):
+    coords = random_coords(rng)
+    t = rng.uniform(0.0, 3.0)
+    a, b, c = twist_closed_form(coords, t), twist_p_form(coords, t), twist_oracle(coords, t)
+    return max(max_rel(a, b), max_rel(b, c), max_rel(a, c))
+
+
+def _flow_sample(rng):
+    coords = random_coords(rng)
+    s = rng.uniform(0.0, 2.0)
+    t = rng.uniform(0.0, 2.0)
+    return max_rel(twist_p_form(twist_p_form(coords, s), t), twist_p_form(coords, s + t))
+
+
+def _trace_sample(rng):
+    coords = random_coords(rng)
+    moved = twist_p_form(coords, rng.uniform(0.0, 3.0))
+    return rel_err(core_geodesic(coords)[1], core_geodesic(moved)[1])
+
+
+def _dehn_sample(rng):
+    coords = random_coords(rng)
+    worst, (x1, x2, x3, x4) = 0.0, coords
+    for m in (1, 2, 3):
+        grow = x1 + 1.0
+        x1, x2, x3, x4 = x1 * x1 * x2 / (grow * grow), 1.0 / x1, grow * x3, grow * x4
+        worst = max(worst, max_rel(dehn_twist(coords, m), (x1, x2, x3, x4)))
+    return worst
+
+
+def _endpoint_sample(rng):
+    coords = random_coords(rng)
+    return max_rel(coords_from_endpoints(endpoints(coords)), coords)
+
+
+class TestVerifyStreams:
+    # the README's suites, in order, with the draws a sample of each takes
+    SUITES = {"oracle-equivalence": (5, _oracle_sample), "flow-additivity": (6, _flow_sample),
+              "trace-invariance": (5, _trace_sample), "dehn-compatibility": (4, _dehn_sample),
+              "endpoint-round-trip": (4, _endpoint_sample)}
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_suites_one_by_one_match_the_shared_passes(self, seed):
+        # each suite on its own Lcg(seed), from the public kernels; sample k starts draws * k
+        # steps after state_0 and takes exactly its draws
+        expected = {}
+        for name, (draws, sample) in self.SUITES.items():
+            cursor, worst = Lcg(seed), 0.0
+            for _ in range(200):
+                rng = Lcg(cursor.state)
+                worst = max(worst, sample(rng))
+                for _ in range(draws):
+                    cursor.uniform(0.0, 1.0)
+                assert rng.state == cursor.state
+            expected[name] = worst.hex()
+        results = cli.run_verify_suites(200, seed)
+        assert list(results) == list(expected)
+        assert {name: value.hex() for name, value in results.items()} == expected
 
 
 positive_doubles = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)

@@ -709,7 +709,9 @@ class TestOracle:
         # seeded wide-range draws: each coordinate 10^u with u uniform in +/-w, w up to 300,
         # and |t L| and |m L| uniform to 700, past the cap.  Every refusal is typed (a
         # ZeroDivisionError would escape) and names no nan, by the translation, p-form or
-        # the closed form; "discriminant" holds the letters, so nan is matched as a word
+        # the closed form; "discriminant" holds the letters, so nan is matched as a word.
+        # A draw the translation refuses at t = 0 has no L to scale t by, and p-form and
+        # the closed form run it at t = 0
         rng, refused = random.Random(3232), []
         for i in range(4000):
             width = (1.0, 10.0, 100.0, 300.0)[i % 4]
@@ -718,13 +720,14 @@ class TestOracle:
                 length = _fenchel_nielsen(coords, 0.0, "t")[1]
             except TwistRangeError as exc:
                 refused.append(str(exc))
-                continue
-            t = rng.uniform(-700.0, 700.0) / length
-            for twist, value in ((twist_oracle, t), (dehn_twist, int(t))):
-                try:
-                    twist(coords, value)
-                except TwistRangeError as exc:
-                    refused.append(str(exc))
+                t = 0.0
+            else:
+                t = rng.uniform(-700.0, 700.0) / length
+                for twist, value in ((twist_oracle, t), (dehn_twist, int(t))):
+                    try:
+                        twist(coords, value)
+                    except TwistRangeError as exc:
+                        refused.append(str(exc))
             for twist in (twist_p_form, twist_closed_form):
                 try:
                     twist(coords, t)
@@ -733,6 +736,7 @@ class TestOracle:
         assert [text for text in refused if re.search(r"\bnan\b", text)] == []
         assert sum(text.startswith("twisted coordinate X2'") for text in refused) > 100
         assert sum(text.startswith("an intermediate overflowed") for text in refused) > 50
+        assert sum("X1 * X2 passes the double range" in text for text in refused) > 100
 
     @pytest.mark.parametrize("t", [1000.0, 400.0, -400.0])
     def test_stratum_map_shares_the_cap(self, t):
