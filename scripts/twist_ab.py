@@ -7,22 +7,27 @@ Each argument is a directory holding an `fntwist` package (a checkout's
 own names, so the two sides share one allocator and run close together in time.
 
 Parity comes first.  twist_p_form, twist_closed_form, twist_oracle, dehn_twist,
-apply_local_twist and the flow sampler (a FLOW_STEPS-step sample_flow to t, taken
-from each tree's cli module, which fntwist flow runs) of both trees run on the
-same seeded draws: WIDE quadruples whose coordinates are 10^u with u uniform in
-+/-w, w from 1 to 300, and BAND quadruples with 0.5 < sqrt(X1 X2) < 1.5, where
-the translation forms X1 X2 - 1 exactly.  t and m run to the |t L| cap and past
-it.  Every case whose bits, error type or error text differ is counted, grouped
-by kind (kernel and the two outcomes, an error given by its type and its text
-before " for ", with each number and parenthesised tuple there masked), and up
-to three of each kind are printed; any difference makes the exit status 1.
+apply_local_twist (twice: the quadruple at entries 2, 5, 1, 3 of a 5-entry vector,
+all in block 0, and at entries SPREAD of a SPREAD_N-entry vector, in three blocks
+of 64) and the flow sampler (a FLOW_STEPS-step sample_flow to t, taken from each
+tree's cli module, which fntwist flow runs) of both trees run on the same seeded
+draws: WIDE quadruples whose coordinates are 10^u with u uniform in +/-w, w from
+1 to 300, and BAND quadruples with 0.5 < sqrt(X1 X2) < 1.5, where the
+translation forms X1 X2 - 1 exactly.  t and m run to the |t L| cap and past it.
+Every case whose bits, error type or error text differ is counted, grouped by
+kind (kernel and the two outcomes, an error given by its type and its text before
+" for ", with each number and parenthesised tuple there masked), and up to three
+of each kind are printed (of two results, only the entries that differ); any
+difference makes the exit status 1.
 
 Timing follows.  For each kernel, the per-call minimum over all alternations
-on a fixed set of in-domain draws; and for apply_local_twist, for each vector
-size n, a seeded word of 250 local twists and its inverse, run once with every
-result kept in a list (as the surface-word benchmark does) and once with each
-result dropped as soon as the next one exists.  The two sides alternate, and
-the table gives each minimum and the change/base ratio of the minima.
+on a fixed set of in-domain draws; the AnnulusEmbedding constructor's per-call
+minimum on the index tuples of the n = 1000 word, so work moved between it and
+apply_local_twist shows; and for apply_local_twist, for each vector size n, a
+seeded word of 250 local twists and its inverse, run once with every result
+kept in a list (as the surface-word benchmark does) and once with each result
+dropped as soon as the next one exists.  The two sides alternate, and the table
+gives each minimum and the change/base ratio of the minima.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ WIDE, BAND = 20_000, 20_000  # parity draws of each sort
 TIMED = 2_000  # in-domain draws per kernel for the per-call rows
 SHOWN = 3  # printed cases per kind of difference
 FLOW_STEPS = 8  # intervals of each parity flow, so 9 rows of 7 values
+SPREAD_N, SPREAD = 200, (65, 150, 1, 64)  # the spread parity embedding: blocks 1, 2, 0, 0
+FILLER = [1.0 + (k % 13) / 8.0 for k in range(SPREAD_N)]  # its vector's untouched entries
 # what describe masks: a parenthesised tuple (one holding a comma), and a number, nan or
 # inf with its sign that no letter, digit or point precedes (so "X1 * X2" stays)
 VALUES = re.compile(r"\([^()]*,[^()]*\)"
@@ -113,16 +120,21 @@ def flow_values(pkg, coords, t):
 
 
 def kernel_outcomes(pkg, quad, t, m):
-    """{kernel: outcome} for one case; the local twist puts the quadruple at entries 2, 5, 1, 3."""
+    """{kernel: outcome} for one case; the local twists put the quadruple at 2, 5, 1, 3, SPREAD."""
     coords = pkg.AnnulusCoords(*quad)
     vector = pkg.SurfaceCoords((quad[2], quad[0], quad[3], 7.0, quad[1]))
     embedding = pkg.AnnulusEmbedding(2, 5, 1, 3)
+    spread = FILLER[:]
+    for i, x in zip(SPREAD, quad):
+        spread[i - 1] = x
     return {
         "twist_p_form": outcome(pkg.twist_p_form, coords, t),
         "twist_closed_form": outcome(pkg.twist_closed_form, coords, t),
         "twist_oracle": outcome(pkg.twist_oracle, coords, t),
         "dehn_twist": outcome(pkg.dehn_twist, coords, m),
         "apply_local_twist": outcome(pkg.apply_local_twist, vector, embedding, t),
+        "apply_local_twist, spread": outcome(pkg.apply_local_twist, pkg.SurfaceCoords(spread),
+                                             pkg.AnnulusEmbedding(*SPREAD), t),
         "sample_flow": outcome(flow_values, pkg, coords, t),
     }
 
@@ -131,6 +143,14 @@ def describe(result) -> str:
     """An outcome's kind: "result", or the error type and its text before " for ", values masked."""
     kind, detail = result
     return kind if kind == "result" else f"{kind}: {VALUES.sub('#', detail.split(' for ')[0])}"
+
+
+def differing(base, change):
+    """The two outcomes; of two results, only the (1-based position, hex) pairs that differ."""
+    if base[0] != "result" or change[0] != "result":
+        return base, change
+    at = [i for i, (a, b) in enumerate(zip(base[1], change[1])) if a != b]
+    return [(i + 1, base[1][i]) for i in at], [(i + 1, change[1][i]) for i in at]
 
 
 def parity(sides, seed: int) -> int:
@@ -150,6 +170,7 @@ def parity(sides, seed: int) -> int:
         print(f"  {len(found):>6}  {kernel}: {was}  ->  {now}")
         for draw, quad, t, m, base, change in found[:SHOWN]:
             arg = f"m = {m}" if kernel == "dehn_twist" else f"t = {t!r}"
+            base, change = differing(base, change)
             print(f"          {draw} {quad} {arg}\n            base:   {base}\n"
                   f"            change: {change}")
     return total
@@ -182,6 +203,16 @@ def per_call(pkg, kernel: str, draws) -> float:
     for coords, arg in calls:
         fn(coords, arg)
     return (time.perf_counter() - begin) / max(len(calls), 1)
+
+
+def per_embedding(pkg, indices) -> float:
+    """Seconds per AnnulusEmbedding construction over the index tuples."""
+    build = pkg.AnnulusEmbedding
+    gc.collect()
+    begin = time.perf_counter()
+    for idx in indices:
+        build(*idx)
+    return (time.perf_counter() - begin) / len(indices)
 
 
 def word_for(pkg, n: int, seed: int):
@@ -237,6 +268,9 @@ def main(argv=None) -> int:
     for kernel in ("twist_p_form", "twist_oracle", "dehn_twist"):
         print(row(kernel, alternate(args.alternations,
                                     lambda side: per_call(sides[side], kernel, draws))))
+    indices = [emb.as_tuple() for emb, _ in word_for(sides[0], 1000, args.seed)[1]]
+    print(row("AnnulusEmbedding construction", alternate(
+        args.alternations, lambda side: per_embedding(sides[side], indices))))
     for keep in (True, False):
         for n in SIZES:
             inputs = [word_for(pkg, n, args.seed) for pkg in sides]

@@ -258,7 +258,7 @@ def cmd_flow(args) -> int:
 
 # --------------------------------------------------------------------- verify
 
-def _dehn_compatibility(coords, rng):
+def _dehn_compatibility(coords):
     """dehn_twist at m = 1, 2, 3 against the rational map, with no transcendental function."""
     worst, (x1, x2, x3, x4) = 0.0, coords
     for m in (1, 2, 3):
@@ -299,7 +299,7 @@ def run_verify_suites(samples: int, seed: int):
     rng = Lcg(seed)
     for _ in range(samples):
         coords = random_coords(rng)
-        dehn = max(dehn, _dehn_compatibility(coords, rng))
+        dehn = max(dehn, _dehn_compatibility(coords))
         ends = max(ends, _max_rel(coords_from_endpoints(endpoints(coords)), coords))
     return {"oracle-equivalence": oracle, "flow-additivity": flow, "trace-invariance": trace,
             "dehn-compatibility": dehn, "endpoint-round-trip": ends}

@@ -85,12 +85,18 @@ class SurfaceCoords(_Frozen):
 
 
 _new_object, _set_blocks = object.__new__, SurfaceCoords._blocks.__set__  # apply_local_twist's
+_set = object.__setattr__  # AnnulusEmbedding's
 
 
 class AnnulusEmbedding(_Frozen):
-    """1-based indices of the arcs playing the four annulus roles."""
+    """1-based indices of the arcs playing the four annulus roles.
 
-    __slots__ = _names = ("i1", "i2", "i3", "i4")
+    The constructor also stores each index's block and slot, and the distinct blocks a local
+    twist copies, in _layout: a slot outside _names, so equality, hash, repr and pickle skip it.
+    """
+
+    __slots__ = ("i1", "i2", "i3", "i4", "_layout")
+    _names = ("i1", "i2", "i3", "i4")
 
     def __init__(self, i1, i2, i3, i4):
         idx = (i1, i2, i3, i4)
@@ -99,8 +105,11 @@ class AnnulusEmbedding(_Frozen):
                 raise ValueError(f"embedding indices must be integers >= 1, got {i!r}")
         if len(set(idx)) != 4:
             raise ValueError(f"embedding indices must be pairwise distinct, got {idx}")
-        for name, i in zip(self._names, idx):
-            object.__setattr__(self, name, i)
+        _set(self, "i1", i1), _set(self, "i2", i2), _set(self, "i3", i3), _set(self, "i4", i4)
+        i1, i2, i3, i4 = i1 - 1, i2 - 1, i3 - 1, i4 - 1
+        k1, k2, k3, k4 = i1 >> _SHIFT, i2 >> _SHIFT, i3 >> _SHIFT, i4 >> _SHIFT  # block
+        _set(self, "_layout", (k1, i1 & _MASK, k2, i2 & _MASK, k3, i3 & _MASK, k4, i4 & _MASK,
+                               tuple({k1, k2, k3, k4})))  # (block, slot) of each, blocks to copy
 
     def as_tuple(self):
         return (self.i1, self.i2, self.i3, self.i4)
@@ -112,16 +121,16 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
     The kernel is p-form's _p_form, which runs the point in two frames (with
     annulus._core): it checks only the quadruple's trace, once, and
     returns a plain 4-tuple, so no AnnulusCoords is built.  Every error names
-    the embedding indices.  The result copies each block holding one of the
-    four indices (at most four), writes the twisted values into those copies
-    and shares every other block with `coords`, whose blocks are never
-    written.  Beyond the twist a call copies at most four 512-byte blocks and
-    passes on ceil(n / 64) block references.
+    the embedding indices.  The block and slot of each index, and the blocks
+    to copy, are the embedding's _layout, worked out when it was built.  The
+    result copies each block holding one of the four indices (at most four),
+    writes the twisted values into those copies and shares every other block
+    with `coords`, whose blocks are never written.  Beyond the twist a call
+    unpacks _layout, copies at most four 512-byte blocks and passes on
+    ceil(n / 64) block references.
     """
     blocks = coords._blocks
-    i1, i2, i3, i4 = embedding.i1 - 1, embedding.i2 - 1, embedding.i3 - 1, embedding.i4 - 1
-    k1, k2, k3, k4 = i1 >> _SHIFT, i2 >> _SHIFT, i3 >> _SHIFT, i4 >> _SHIFT  # block
-    j1, j2, j3, j4 = i1 & _MASK, i2 & _MASK, i3 & _MASK, i4 & _MASK  # slot in the block
+    k1, j1, k2, j2, k3, j3, k4, j4, written = embedding._layout
     try:
         quad = [blocks[k1][j1], blocks[k2][j2], blocks[k3][j3], blocks[k4][j4]]
     except IndexError:  # the indices are >= 1, so only one past the end gets here
@@ -133,7 +142,7 @@ def apply_local_twist(coords: SurfaceCoords, embedding: AnnulusEmbedding, t) -> 
     except (ValueError, OverflowError) as exc:  # TwistRangeError is an OverflowError
         raise type(exc)(f"{exc}; embedding indices {embedding.as_tuple()}") from None
     out = list(blocks)
-    for k in {k1, k2, k3, k4}:  # each written block is copied once
+    for k in written:  # each written block is copied once
         out[k] = blocks[k][:]
     out[k1][j1], out[k2][j2], out[k3][j3], out[k4][j4] = twisted
     result = _new_object(SurfaceCoords)  # its entries already pass __init__'s checks

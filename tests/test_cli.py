@@ -721,6 +721,28 @@ class TestTwistAbScript:
         assert differ == served > 0
         assert out.count("base:   ") == out.count("change: ") == 3
 
+    def test_results_that_differ_show_only_the_entries_that_differ(self, monkeypatch, capsys):
+        # a change side whose local twist also moves entry 100 of the 200-entry spread
+        # vector, which no parity embedding writes, one ulp up
+        script = self.load(monkeypatch)
+
+        def nudged(coords, embedding, t):
+            values = list(fntwist.apply_local_twist(coords, embedding, t).values)
+            if len(values) >= 100:
+                values[99] = math.nextafter(values[99], math.inf)
+            return fntwist.SurfaceCoords(values)
+
+        change = types.SimpleNamespace(**{name: getattr(fntwist, name) for name in fntwist.__all__},
+                                       cli=fntwist.cli)
+        change.apply_local_twist = nudged
+        differ = script.parity((fntwist, change), 1)
+        out = capsys.readouterr().out
+        served = int(re.search(r"^ +(\d+)  apply_local_twist, spread: result  ->  result$", out,
+                               re.M)[1])
+        assert differ == served > 0
+        assert out.count("base:   [(100, '0x1.0000000000000p+1')]\n") == 3
+        assert out.count("change: [(100, '0x1.0000000000001p+1')]\n") == 3
+
     def test_refusals_that_differ_only_in_values_share_a_kind(self, monkeypatch):
         # the cap, p-form's result range and the trace margin, each refused at two inputs
         # whose messages carry different numbers or tuples before " for "

@@ -150,8 +150,17 @@ class TestValidation:
          "embedding index 200 exceeds coordinate count 150"),
         ((1e200, 1.0, 1.0, 1.0, 5.0, 7.0), (1, 2, 3, 4), 0.1, OverflowError,
          "core geodesic discriminant overflows"),
+        (THREE_BLOCKS[:65], (1, 64, 65, 66), 1.0, ValueError,
+         "embedding index 66 exceeds coordinate count 65"),
+        (THREE_BLOCKS[:129], (129, 1, 130, 64), 1.0, ValueError,
+         "embedding index 130 exceeds coordinate count 129"),
+        (THREE_BLOCKS[:129], (1, 64, 65, 200), 1.0, ValueError,
+         "embedding index 200 exceeds coordinate count 129"),
+        (THREE_BLOCKS, (1, 2, 3, 2**70), 1.0, ValueError,  # its block is no index-sized int
+         f"embedding index {2**70} exceeds coordinate count 150"),
     ], ids=["index-past-end", "not-hyperbolic", "beyond-cap", "index-past-short-last-block",
-            "index-in-missing-block", "overflow"])
+            "index-in-missing-block", "overflow", "index-past-block-of-one",
+            "index-past-end-of-129", "index-in-missing-block-of-129", "index-past-ssize"])
     def test_failure_names_embedding_and_leaves_input_alone(self, values, indices, t, error,
                                                             cause):
         vec = SurfaceCoords(values)
@@ -184,6 +193,7 @@ class TestValueSemantics:
 
     @pytest.mark.parametrize("obj, name", [
         (VECTOR, "values"), (VECTOR, "extra"), (FRONT, "i1"), (FRONT, "extra"),
+        (FRONT, "_layout"),
     ])
     def test_attributes_are_read_only(self, obj, name):
         before = repr(obj)
@@ -357,3 +367,43 @@ class TestSharedBlocks:
             assert (old is not new) if k in touched else (old is new)
         assert len(touched) <= 4
 
+
+class TestCachedLayout:
+    # an embedding computes the block and slot of each index, and the distinct blocks a
+    # twist copies, once; _layout holds them outside the fields compared, hashed and shown
+
+    @pytest.mark.parametrize("n", [65, 129, 1000])
+    def test_block_edges_and_short_last_block(self, n):
+        rng = random.Random(n)
+        start = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n))
+        vec = SurfaceCoords(start)
+        last_start = (n - 1) // BLOCK_WIDTH * BLOCK_WIDTH + 1
+        assert n - last_start + 1 < BLOCK_WIDTH  # the last block is short
+        edges = sorted({i for i in (1, 2, 64, 65, 128, 129, last_start, n - 1, n) if i <= n})
+        for k in range(len(edges) - 3):
+            idx = tuple(edges[k:k + 4]) if k % 2 else tuple(reversed(edges[k:k + 4]))
+            emb = AnnulusEmbedding(*idx)
+            *pairs, written = emb._layout
+            assert pairs == [j for i in idx for j in divmod(i - 1, BLOCK_WIDTH)]  # block, slot
+            assert sorted(written) == sorted({(i - 1) // BLOCK_WIDTH for i in idx})
+            out = apply_local_twist(vec, emb, -0.3)
+            assert hex_floats(out.values) == hex_floats(flat_twist(start, idx, -0.3))
+        assert hex_floats(vec.values) == hex_floats(start)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 300).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, n), min_size=4, max_size=4, unique=True))),
+        st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0))
+    def test_matches_a_flat_rebuild_bit_for_bit(self, n_idx, seed, t):
+        n, idx = n_idx
+        rng = random.Random(seed)
+        start = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n))
+        out = apply_local_twist(SurfaceCoords(start), AnnulusEmbedding(*idx), t)
+        assert hex_floats(out.values) == hex_floats(flat_twist(start, tuple(idx), t))
+
+    def test_copies_and_pickles_twist_identically(self):
+        emb, vec = AnnulusEmbedding(150, 2, 65, 64), SurfaceCoords(THREE_BLOCKS)
+        expected = hex_floats(apply_local_twist(vec, emb, 0.45).values)
+        for clone in (copy.copy(emb), copy.deepcopy(emb), pickle.loads(pickle.dumps(emb))):
+            assert clone == emb and clone._layout == emb._layout
+            assert hex_floats(apply_local_twist(vec, clone, 0.45).values) == expected

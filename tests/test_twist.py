@@ -193,6 +193,45 @@ class TestTwistRoutes:
                 twist(UNIT, math.nan)
 
 
+def hamiltonian_field(coords):
+    """d(log X1, ..., log X4)/ds of the Hamiltonian flow of L at coords, s = t L (test oracle).
+
+    With tr = (X1 (X2 + 1) + 1) / sqrt(X1 X2) and L = 2 acosh(tr / 2): dL/dtr is
+    2 / sqrt(tr^2 - 4), dtr/dlog X1 is (X1 (X2 + 1) - 1) / (2 sqrt(X1 X2)) and dtr/dlog X2 is
+    (X1 X2 - X1 - 1) / (2 sqrt(X1 X2)).  The field is (dL/dlog X2, -dL/dlog X1) on X1, X2
+    and half their difference on each of X3, X4.
+    """
+    x1, x2 = coords[0], coords[1]
+    root = math.sqrt(x1 * x2)
+    tr = (x1 * (x2 + 1.0) + 1.0) / root
+    dl_dtr = 2.0 / math.sqrt(tr * tr - 4.0)
+    dl1 = dl_dtr * (x1 * (x2 + 1.0) - 1.0) / (2.0 * root)
+    dl2 = dl_dtr * (x1 * x2 - x1 - 1.0) / (2.0 * root)
+    half = 0.5 * (dl1 - dl2)
+    return (dl2, -dl1, half, half)
+
+
+class TestHamiltonianFlow:
+    # the twist is the flow of the length function: a Richardson central difference in
+    # s = t L of the logged coordinates equals the field of L at the moved point
+    @pytest.mark.parametrize("twist", [twist_p_form, twist_oracle])
+    def test_twist_is_the_hamiltonian_flow_of_length(self, twist):
+        rng, worst = random.Random(8), 0.0
+        for _ in range(200):
+            coords = AnnulusCoords(*(rng.uniform(0.1, 10.0) for _ in range(4)))
+            length, s0 = core_geodesic(coords)[0], rng.uniform(-20.0, 20.0)
+
+            def central(h):
+                ahead, behind = twist(coords, (s0 + h) / length), twist(coords, (s0 - h) / length)
+                return [(math.log(a) - math.log(b)) / (2.0 * h) for a, b in zip(ahead, behind)]
+
+            coarse, fine = central(1e-3), central(5e-4)
+            slope = [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
+            field = hamiltonian_field(twist(coords, s0 / length))
+            worst = max(worst, math.hypot(*(a - b for a, b in zip(slope, field))))
+        assert worst < 1e-10
+
+
 # frozen (twist_p_form, twist_closed_form, twist_oracle) outputs on each
 # quadruple at t = tL / L, tL on both sides of the 300 branch point and near
 # the cap: _growth's scale pair must keep every bit of each route's branch
@@ -785,7 +824,7 @@ class TestDehnTwist:
         for name in ("exp", "expm1", "cosh", "sinh", "tanh", "acosh", "asinh", "log", "log1p",
                      "sqrt", "hypot"):
             monkeypatch.setattr(math, name, boom)
-        assert fntwist.cli._dehn_compatibility(coords, None) < 1e-15
+        assert fntwist.cli._dehn_compatibility(coords) < 1e-15
 
     @pytest.mark.parametrize("m", [10, -10, 40, -40])
     def test_many_steps_match_exact_rational_map(self, m):
