@@ -90,14 +90,15 @@ def endpoints(coords: AnnulusCoords):
 
 
 def _core(x1: float, x2: float):
-    """(L, |trace|, p1, p2) from X1, X2: the core geodesic's one body, checks and messages.
+    """(L, |trace|, p1, p2, gap) from X1, X2: the core geodesic's one body, checks and messages.
 
     ValueError naming X1, X2 if X1 * X2 is below _MIN_NORMAL (the trace would lose digits),
     or if the trace is within HYPERBOLICITY_MARGIN of 2 or not finite (naming X1 * X2 where
     that product passes the double range and the trace is nan); then OverflowError
     naming them if the discriminant passes the double range.  The axis endpoints p1 > 0 > p2
     are the roots of p^2 + (X1(X2+1) - 1) p - X1, taken larger-magnitude root first and the
-    companion via the product of roots -X1, so no cancellation occurs.
+    companion via the product of roots -X1, so no cancellation occurs.  gap is p-form's
+    x1 + p2 < 0, which cancels as p1 nears 1; there it takes a like-signed identity.
     """
     product = x1 * x2
     if not product >= _MIN_NORMAL:  # subnormal or 0: its square root keeps only some bits
@@ -127,12 +128,16 @@ def _core(x1: float, x2: float):
     else:
         p1 = (-lin + sq) / 2.0
         p2 = -x1 / p1
-    return 2.0 * math.acosh(tr / 2.0), tr, p1, p2
+    # x1 + p2 = (1 - p1) p2 cancels as p1 nears 1; (x1 + p1)(x1 + p2) = -x1^2 x2 does not
+    gap = x1 + p2
+    if not -gap >= -1e-3 * p2:  # |1 - p1| < 1e-3, or nan
+        gap = -(x1 * x1 * x2 / (x1 + p1))
+    return 2.0 * math.acosh(tr / 2.0), tr, p1, p2, gap
 
 
 def core_geodesic(coords: AnnulusCoords):
     """The core geodesic as (length, |trace|, p1, p2), with axis endpoints p1 > 0 > p2."""
-    return _core(coords[0], coords[1])
+    return _core(coords[0], coords[1])[:4]
 
 
 def coords_from_endpoints(ends) -> AnnulusCoords:

@@ -4,8 +4,8 @@ Three independent routes compute the twisted quadruple:
 
 * twist_p_form, the flow's route, a rational function of e^(t L) and the
   axis endpoints p1, p2 taken from the quadratic route.  Its kernel _p_form
-  takes L, p1, p2 from annulus._core, the core geodesic's one body, runs the
-  flow in its own, and returns a plain 4-tuple: twist_p_form wraps it as
+  takes L, p1, p2 and the guarded gap x1 + p2 from annulus._core, runs the
+  flow in its own body, and returns a plain 4-tuple: twist_p_form wraps it as
   AnnulusCoords, and a local twist uses it as it is;
 * twist_closed_form, the same map written directly in cosh(L), cosh(L/2)
   and e^(+/- L/2), kept as an algebraic reference;
@@ -15,9 +15,9 @@ Three independent routes compute the twisted quadruple:
   point in one body and returns L and the trace with the result, which
   fntwist twist and dehn report.  stratum_map gives the moving side's map.
 
-sample_flow, which fntwist flow runs, computes p-form's t-independent terms
-and calls _growth once per trajectory: a row costs one exp and a dozen products,
-equals twist_p_form bit for bit, and if a test fails goes to _p_form, then _core.
+sample_flow, which fntwist flow runs, calls _core and _growth once per trajectory:
+a row costs one exp and a dozen products, equals twist_p_form bit for bit, and if
+a test fails goes to _p_form, then _core.
 
 Frames per call: twist_p_form 3 (itself, _p_form, _core), a local twist's
 kernel 2 (_p_form, _core), twist_oracle and dehn_twist 2
@@ -115,13 +115,13 @@ def _checked(values, coords: AnnulusCoords, name: str, value) -> AnnulusCoords:
 def _p_form(coords, t):
     """twist_p_form's values as a plain 4-tuple: the core, then the flow in one body.
 
-    _core checks X1, X2 once and gives L, p1, p2.  A plain float t within the cap
-    takes _growth's scale pair inline; any other t goes through _growth.  Errors
-    come in the order trace, discriminant, t and the cap, axis gap, underflowed
-    product, result range.
+    _core checks X1, X2 once and gives L, p1, p2 and the guarded gap x1 + p2.  A plain
+    float t within the cap takes _growth's scale pair inline; any other t goes through
+    _growth.  Errors come in the order trace, discriminant, t and the cap, axis gap,
+    underflowed product, result range.
     """
     x1, x2, x3, x4 = coords
-    length, _, p1, p2 = _core(x1, x2)
+    length, _, p1, p2, gap = _core(x1, x2)
     if type(t) is float and abs(s := t * length) <= MAX_TWIST_LENGTH:  # False for nan too
         if s <= _SHIFT_THRESHOLD:  # _growth's two branches, bit for bit
             moved, fixed = math.exp(s), 1.0
@@ -130,13 +130,8 @@ def _p_form(coords, t):
     else:
         t, moved, fixed = _growth(coords, t, length)
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1  # equals (p1 - p2)^2
-    # x1 + p2 < 0 < x1 + p1, so both gaps add like-signed terms.  x1 + p2 cancels
-    # as p1 nears 1 (|x1 + p2| = |1 - p1| |p2|); there it is -x1^2 x2 / (x1 + p1),
-    # as (x1 + p1)(x1 + p2) is core_geodesic's quadratic at -x1, namely -x1^2 x2
-    neg = x1 + p2
-    if not -neg >= -1e-3 * p2:  # |1 - p1| < 1e-3, or nan
-        neg = -(x1 * x1 * x2 / (x1 + p1))
-    axis_gap = (x1 + p1) * moved - neg * fixed
+    # gap = x1 + p2 < 0 < x1 + p1, so both gaps add like-signed terms
+    axis_gap = (x1 + p1) * moved - gap * fixed
     edge2_gap = p1 * moved - p2 * fixed
     top1, bottom1 = x1 * axis_sq * moved * fixed, axis_gap * axis_gap
     top2, bottom2 = x2 * edge2_gap * edge2_gap, axis_sq * moved * fixed
@@ -164,7 +159,7 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
 
     Each row is t, twist_p_form(coords, t) and the L and trace that _core gives for its
     X1', X2', bit for bit; a row takes no axis endpoints, so it needs no discriminant.
-    core_geodesic and p-form's other t-independent terms are computed once: a row costs
+    _core and p-form's other t-independent terms are computed once: a row costs
     one exp, a dozen products and its own L and trace, so the rows exhibit, rather than
     assume, their invariance.  A row that fails any test goes to _p_form, then _core,
     which raise its error in their order: cap and guards, result range, trace.  A span
@@ -173,14 +168,12 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
-    length, _, p1, p2 = core_geodesic(coords)
+    x1, x2, x3, x4 = coords
+    length, _, p1, p2, gap = _core(x1, x2)
     t_max = _growth(coords, t_max, length)[0]
     # _p_form's terms that do not depend on t, in its order of operations
-    x1, x2, x3, x4 = coords
     axis_sq = p1 * p1 + p2 * p2 + 2.0 * x1
-    near, neg = x1 + p1, x1 + p2
-    if not -neg >= -1e-3 * p2:
-        neg = -(x1 * x1 * x2 / near)
+    near = x1 + p1
     x1_axis_sq = x1 * axis_sq
     exp, sqrt, acosh, inf = math.exp, math.sqrt, math.acosh, math.inf
     cap, shift, tiny = MAX_TWIST_LENGTH, _SHIFT_THRESHOLD, _MIN_NORMAL
@@ -194,10 +187,10 @@ def sample_flow(coords: AnnulusCoords, t_max: float, steps: int):
             # one of _growth's scale pair is 1.0, e the other: a product by 1.0 drops out exactly
             if s <= shift:
                 e = exp(s)
-                axis_gap, edge2_gap = near * e - neg, p1 * e - p2
+                axis_gap, edge2_gap = near * e - gap, p1 * e - p2
             else:
                 e = exp(-s)
-                axis_gap, edge2_gap = near - neg * e, p1 - p2 * e
+                axis_gap, edge2_gap = near - gap * e, p1 - p2 * e
             top1, bottom1 = x1_axis_sq * e, axis_gap * axis_gap
             top2, bottom2 = x2 * edge2_gap * edge2_gap, axis_sq * e
             # _p_form's cap and guards, its result range, then _core's trace arithmetic and tests

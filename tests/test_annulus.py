@@ -1,8 +1,10 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from fntwist import (
     endpoints,
     random_coords,
 )
-from fntwist.annulus import _coordinate
+from fntwist.annulus import _coordinate, _core
 from fntwist.mobius import MobiusMap
 from util import (FloatSubclass, coords_from_endpoints_reference, exponential_fixed_points,
                   holonomy_f2, max_rel, rel_err)
@@ -295,6 +297,25 @@ class TestCoreGeodesic:
     def test_length_matches_mobius_route(self, coords):
         assert rel_err(core_geodesic(coords)[0],
                        holonomy_f2(coords).translation_length()) < 1e-10
+
+    def test_axis_gap_matches_mpmath_on_both_sides_of_the_guard(self):
+        # 1 - p1 = 10^U(-8, -1), X2 solved from X1 and p1: _core's gap x1 + p2 against mpmath
+        rng, worst, drawn = random.Random(5), {True: 0.0, False: 0.0}, {True: 0, False: 0}
+        for _ in range(2000):
+            x1, near_one = 10.0 ** rng.uniform(-4.0, 0.5), 1.0 - 10.0 ** rng.uniform(-8.0, -1.0)
+            x2 = (1.0 - near_one) * (x1 + near_one) / (near_one * x1)
+            _, _, p1, _, gap = _core(x1, x2)
+            with mpmath.workdps(60):
+                a, b = mpmath.mpf(x1), mpmath.mpf(x2)
+                lin = a * (b + 1) - 1  # p2 is the negative root of p^2 + lin p - X1
+                exact = float(a + (-lin - mpmath.sqrt(lin * lin + 4 * a)) / 2)
+            guarded = abs(1.0 - p1) < 1e-3
+            drawn[guarded] += 1
+            worst[guarded] = max(worst[guarded], rel_err(gap, exact))
+        assert min(drawn.values()) > 400
+        assert worst[True] < 1e-15
+        # unguarded, x1 + p2 cancels up to |1 - p1| = 1e-3: the error the threshold lets through
+        assert worst[False] < 1e-12
 
 
 class TestCoordsFromEndpoints:

@@ -380,17 +380,25 @@ class TestFlowCommand:
                     "--format", fmt, "--out", str(out), "--svg", str(svg)]) == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_stdout_equals_out_file_bytes(self, fmt, tmp_path):
-        # several blocks through an unbuffered stdout, where each block is one write(2)
-        argv = [sys.executable, "-m", "fntwist.cli", "flow", "--coords", "1,1,1,1", "--t", "1",
-                "--steps", str(3 * cli._BLOCK), "--format", fmt]
+    # the second start crosses |t L| = 300 (the shifted exponent), the third also takes
+    # p-form's guarded x1 + p2 identity (|1 - p1| = 5.0e-4)
+    @pytest.mark.parametrize("fmt, span", [
+        pytest.param(fmt, span, id=f"{fmt}{name}") for name, span in [
+            ("", ["1,1,1,1", "--t", "1"]),
+            ("-shifted", ["0.7021313130275187,1.0442750112350174,1.9802443731858395,"
+                          "0.5830781685819689", "--t", "250"]),
+            ("-guarded", ["1,0.001,1,1", "--t", "50"]),
+        ] for fmt in ["csv", "json"]])
+    def test_stdout_equals_out_file_bytes(self, fmt, span, tmp_path):
+        # five blocks through an unbuffered stdout, where each block is one write(2)
+        argv = [sys.executable, "-m", "fntwist.cli", "flow", "--coords", *span,
+                "--steps", "5000", "--format", fmt]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONUNBUFFERED="1")
         piped = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=60)
         out = tmp_path / f"flow.{fmt}"
         subprocess.run(argv + ["--out", str(out)], env=env, check=True, timeout=60)
         assert piped.stdout == out.read_bytes()
-        assert piped.stdout.count(b"\n") > 3 * cli._BLOCK
+        assert piped.stdout.count(b"\n") > 4 * cli._BLOCK
 
     def test_readme_example_matches_golden_digests(self, tmp_path):
         golden = ROOT / "benchmarks" / "golden_sha256.json"
@@ -506,6 +514,7 @@ class TestSampleFlow:
     @given(st.tuples(*[st.floats(-6.0, 6.0).map(lambda u: 10.0 ** u)] * 4),
            st.floats(-649.0, 649.0), st.integers(1, 64))
     @example((1.0, 1e-3, 1.0, 1.0), 400.0, 64)  # the guarded x1 + p2 identity, shifted exponent
+    @example((1.0, 3e-3, 1.0, 1.0), 400.0, 64)  # |1 - p1| = 1.5e-3, just outside the guard
     def test_rows_are_p_form_bit_for_bit(self, start, s_max, steps):
         coords = AnnulusCoords(*start)
         try:

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -230,6 +231,32 @@ class TestHamiltonianFlow:
             field = hamiltonian_field(twist(coords, s0 / length))
             worst = max(worst, math.hypot(*(a - b for a, b in zip(slope, field))))
         assert worst < 1e-10
+
+    def test_reference_is_the_hamiltonian_flow_of_length(self):
+        # the mpmath reference at 80 digits: d log X_k / dt at t = 0, over L, equals the field
+        # of L, with L and its gradient in log X1, log X2 taken in mpmath at 100 digits
+        reference = load_benchmark_module("reference")  # a fresh module: the file is unchanged
+        reference.DIGITS = 80
+
+        def length(u1, u2):  # L of X1 = e^u1, X2 = e^u2
+            y1, y2 = mpmath.exp(u1), mpmath.exp(u2)
+            return 2 * mpmath.acosh((y1 * (y2 + 1) + 1) / mpmath.sqrt(y1 * y2) / 2)
+
+        rng, step, worst = random.Random(4), mpmath.mpf(10) ** -30, 0.0
+        for _ in range(8):
+            coords = tuple(rng.uniform(0.1, 10.0) for _ in range(4))
+            with mpmath.workdps(100):
+                u1, u2 = mpmath.log(coords[0]), mpmath.log(coords[1])
+                core = length(u1, u2)
+                dl1 = mpmath.diff(lambda u: length(u, u2), u1)
+                dl2 = mpmath.diff(lambda u: length(u1, u), u2)
+                field = (dl2, -dl1, (dl1 - dl2) / 2, (dl1 - dl2) / 2)
+                for k in range(4):
+                    # an explicit step: the default one gives exactly 0 at t = 0 here
+                    slope = mpmath.diff(
+                        lambda t: mpmath.log(reference.twist_reference(coords, t)[k]), 0, h=step)
+                    worst = max(worst, float(abs(slope / core - field[k])))
+        assert worst < 1e-40
 
 
 # frozen (twist_p_form, twist_closed_form, twist_oracle) outputs on each
